@@ -48,7 +48,9 @@ def field_embedding(src: FiniteField, dst: FiniteField):
             if acc == 0:
                 root = cand
                 break
-        assert root is not None, "modulus must split in the extension"
+        if root is None:
+            raise ConsistencyError(
+                f"modulus of {src!r} has no root in {dst!r}")
         powers = [1]
         for _ in range(src.degree - 1):
             powers.append(dst.mul(powers[-1], root))

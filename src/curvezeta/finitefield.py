@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 
-from .errors import CapacityError, ModelShapeError
+from .errors import CapacityError, ConsistencyError, ModelShapeError
 
 DEFAULT_CAPACITY = 1_000_000
 
@@ -93,89 +93,56 @@ class FiniteField:
                 raise ModelShapeError("degree-1 field takes the modulus x only")
             self._exp = self._log = None
         else:
+            from . import fqpoly as fp  # fqpoly imports this module
+            prime = extension_field(p, capacity=capacity)
             if modulus is None:
-                modulus = self._smallest_irreducible()
-            self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
-            if len(self.modulus) != degree + 1:
-                raise ModelShapeError("modulus degree does not match the extension degree")
-            if not self._is_irreducible_mod_p(self.modulus):
-                raise ModelShapeError("modulus polynomial is reducible")
-            self._build_log_tables()
+                modulus = next((m for m in (_digits(v, p, degree) + (1,)
+                                            for v in range(order))
+                                if fp.is_irreducible(prime, m)), None)
+                if modulus is None:
+                    raise ConsistencyError(
+                        f"no irreducible polynomial of degree {degree} over F_{p}")
+            else:
+                modulus = tuple(c % p for c in modulus[:-1]) + (1,)
+                if len(modulus) != degree + 1:
+                    raise ModelShapeError(
+                        "modulus degree does not match the extension degree")
+                if not fp.is_irreducible(prime, modulus):
+                    raise ModelShapeError("modulus polynomial is reducible")
+            self.modulus = modulus
+            self._build_log_tables(prime)
         self._irreducibles: dict[int, tuple] = {}
         self._embeddings: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
-    def _smallest_irreducible(self) -> tuple[int, ...]:
-        p, k = self.p, self.degree
-        for value in range(p ** k):
-            coeffs = _digits(value, p, k) + (1,)
-            if self._is_irreducible_mod_p(coeffs):
-                return coeffs
-        raise AssertionError("no irreducible polynomial found")  # unreachable
+    def _build_log_tables(self, prime: FiniteField):
+        """exp/log tables of a generator, multiplying coefficient vectors of
+        the element encodings as polynomials over the prime field."""
+        from . import fqpoly as fp
+        p, k, q = self.p, self.degree, self.order
+        mod = self.modulus
 
-    def _is_irreducible_mod_p(self, coeffs: tuple[int, ...]) -> bool:
-        # x^(p^j) mod coeffs chain: irreducible iff x^(p^k) == x and the
-        # intermediate gcds at proper divisors j of k are trivial.
-        p, k = self.p, len(coeffs) - 1
-        if k < 1 or coeffs[-1] != 1:
-            return False
-        x_reduced = (0, 1) if k > 1 else _pp_trim(((-coeffs[0]) % p,))
-        t = x_reduced
-        for j in range(1, k + 1):
-            t = _pp_powmod(t, p, coeffs, p)
-            if j < k and k % j == 0:
-                if _pp_deg(_pp_gcd(_pp_sub(t, (0, 1), p), coeffs, p)) != 0:
-                    return False
-        return t == x_reduced
+        def poly(a):
+            return fp.trim(_digits(a, p, k))
 
-    def _build_log_tables(self):
-        q = self.order
         factors = prime_factors(q - 1)
-        gen = None
-        for cand in range(2, q):
-            if all(self._raw_pow(cand, (q - 1) // f) != 1 for f in factors):
-                gen = cand
-                break
-        assert gen is not None
+        gen = next((c for c in range(2, q)
+                    if all(fp.pow_mod(prime, poly(c), (q - 1) // f, mod) != (1,)
+                           for f in factors)), None)
+        if gen is None:
+            raise ConsistencyError(f"no generator of the unit group of {self!r}")
         exp = array('q', [1] * (q - 1))
         log = array('q', [-1] * q)
-        acc = 1
+        acc, gen_poly = (1,), poly(gen)
         for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, gen)
+            value = _undigits(acc, p)
+            exp[i] = value
+            log[value] = i
+            acc = fp.mod(prime, fp.mul(prime, acc, gen_poly), mod)
         self.generator = gen
         self._exp = exp
         self._log = log
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Table-free product, used while the tables are being built."""
-        p, k = self.p, self.degree
-        da = _digits(a, p, k)
-        db = _digits(b, p, k)
-        prod = [0] * (2 * k - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        mod = self.modulus
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(k):
-                    prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
-        return _undigits(prod[:k], p)
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return r
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -338,70 +305,6 @@ def _undigits(coeffs, p: int) -> int:
     for c in reversed(list(coeffs)):
         t = t * p + c
     return t
-
-
-# Small helpers on coefficient lists over the prime field, used only for
-# modulus selection before any field object exists.
-
-def _pp_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return tuple(a)
-
-
-def _pp_deg(a):
-    return len(a) - 1
-
-
-def _pp_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _pp_trim(tuple(((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                          for i in range(n)))
-
-
-def _pp_mulrem(a, b, mod, p):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-    k = len(mod) - 1
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(k):
-                prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
-    return _pp_trim(prod[:k])
-
-
-def _pp_powmod(a, e, mod, p):
-    r = (1,)
-    while e:
-        if e & 1:
-            r = _pp_mulrem(r, a, mod, p)
-        a = _pp_mulrem(a, a, mod, p)
-        e >>= 1
-    return r
-
-
-def _pp_mod(a, b, p):
-    a = list(_pp_trim(a))
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        c = a[-1] * inv_lead % p
-        for j in range(len(b)):
-            a[shift + j] = (a[shift + j] - c * b[j]) % p
-        a = list(_pp_trim(a))
-    return _pp_trim(a)
-
-
-def _pp_gcd(a, b, p):
-    a, b = _pp_trim(a), _pp_trim(b)
-    while b:
-        a, b = b, _pp_mod(a, b, p)
-    return a
 
 
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}

@@ -301,7 +301,8 @@ def artin_schreier_solve(ring: QuotientRing, w):
     on bit rows.  Returns None when no solution exists (trace 1 case).
     """
     F = ring.field
-    assert F.p == 2
+    if F.p != 2:
+        raise ValueError("artin_schreier_solve is only provided in characteristic 2")
     k, d = F.degree, ring.d
     n = k * d
     basis = []

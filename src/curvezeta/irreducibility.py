@@ -81,6 +81,10 @@ def _tp_gcd(A: list, B: list) -> list:
     return A
 
 
+class NotSquarefreeError(ValueError):
+    """absolute_factor_count was given a polynomial with a repeated factor."""
+
+
 def is_squarefree(P: BiPoly) -> bool:
     """Squarefree as a bivariate rational polynomial."""
     if P.is_zero():
@@ -98,15 +102,15 @@ def is_squarefree(P: BiPoly) -> bool:
 def absolute_factor_count(P: BiPoly) -> int:
     """Number of distinct irreducible factors over the algebraic closure.
 
-    Input must be squarefree and involve both variables.  The count is the
-    nullity of the exact linear system behind the logarithmic-derivative
-    equation; no factor is ever constructed.
+    Input must be squarefree (else NotSquarefreeError) and involve both
+    variables.  The count is the nullity of the exact linear system behind
+    the logarithmic-derivative equation; no factor is ever constructed.
     """
+    if not is_squarefree(P):
+        raise NotSquarefreeError("factor counting needs a squarefree polynomial")
     m, n = P.t_degree, P.u_degree
     if m < 1 or n < 1:
         raise ValueError("factor counting needs both variables present")
-    if not is_squarefree(P):
-        raise ValueError("factor counting needs a squarefree polynomial")
     p_u = P.derivative_u()
     p_t = P.derivative_t()
     t = BiPoly.t()
@@ -244,8 +248,11 @@ def analyze_irreducibility(P: BiPoly, genus: int,
         "reversal value at T = 1", one_ok,
         f"got {format_poly(at_one.coeffs, 'u')}, expected {pic0}"))
 
-    squarefree = is_squarefree(P)
-    count = absolute_factor_count(P) if squarefree else None
+    try:
+        count = absolute_factor_count(P)
+    except NotSquarefreeError:
+        count = None
+    squarefree = count is not None
     try:
         reference = reference_factor_count(P) if squarefree else None
     except OracleUnsupportedError:

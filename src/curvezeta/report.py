@@ -53,7 +53,7 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
                        series_order: int | None = None,
                        capacity: int = DEFAULT_CAPACITY,
                        with_timing: bool = True) -> PipelineResult:
-    """validate -> count -> L -> places -> strata -> numerator -> checks."""
+    """validate -> places and counts -> L -> strata -> numerator -> checks."""
     timings: dict = {}
     start = time.perf_counter()
 
@@ -73,14 +73,23 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
     order = series_order if series_order is not None else 2 * g + 2
 
     t0 = time.perf_counter()
-    counts = [curvemod.count_points(model, m) for m in range(1, 2 * g + 1)]
+    depth = max(order, 2 * g - 2, 1)
+    places = curvemod.enumerate_places(model, depth, capacity=capacity)
+    stage("places", t0)
+
+    # a_1..a_depth come with the place table; only a short series order
+    # leaves a_m for m in (depth, 2g] to count here.
+    t0 = time.perf_counter()
+    counts = list(places.point_counts[:2 * g]) + [
+        curvemod.count_points(model, m, capacity=capacity)
+        for m in range(depth + 1, 2 * g + 1)]
     lpoly = zetaone.lpolynomial_from_counts(counts, q, g)
     pic0 = zetaone.class_number(lpoly)
     stage("point_counts", t0)
 
     structure: list = []
     if base_change > 1:
-        base_counts = [curvemod.count_points(base_model, m)
+        base_counts = [curvemod.count_points(base_model, m, capacity=capacity)
                        for m in range(1, 2 * g + 1)]
         base_lpoly = zetaone.lpolynomial_from_counts(
             base_counts, base_model.field.order, g)
@@ -88,11 +97,6 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
         structure.append(zetatwo.ClauseResult(
             "base change consistency", lifted.coeffs == lpoly.coeffs,
             f"lifted L {list(lifted.coeffs)} vs direct count {list(lpoly.coeffs)}"))
-
-    t0 = time.perf_counter()
-    depth = max(order, 2 * g - 2, 1)
-    places = curvemod.enumerate_places(model, depth, capacity=capacity)
-    stage("places", t0)
 
     t0 = time.perf_counter()
     strata = jacobian.strata_table(model, places, pic0)

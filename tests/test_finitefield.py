@@ -22,14 +22,26 @@ def test_prime_field_matches_integers_mod_p(p, data):
     assert F.pow(a, 5) == pow(a, 5, p)
 
 
+# Generators behind the log tables: a different one would relabel every
+# discrete log, so they are pinned along with the moduli.
+GENERATORS = {(2, 2): 2, (2, 3): 2, (3, 2): 4,
+              (2, 8): 3, (3, 4): 3, (3, 6): 3, (5, 4): 6}
+
+
 @pytest.mark.parametrize("p,k,modulus", [
     (2, 2, (1, 1, 1)),
     (2, 3, (1, 1, 0, 1)),
     (3, 2, (1, 0, 1)),
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+    (3, 4, (2, 1, 0, 0, 1)),
+    (3, 6, (2, 1, 0, 0, 0, 0, 1)),
+    (5, 4, (2, 0, 0, 0, 1)),
 ])
 def test_default_modulus_is_lex_smallest_irreducible(p, k, modulus):
     # the canonical construction must be reproducible across runs
-    assert extension_field(p, k).modulus == modulus
+    F = extension_field(p, k)
+    assert F.modulus == modulus
+    assert F.generator == GENERATORS[p, k]
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2)])

@@ -188,3 +188,9 @@ def test_artin_schreier_solutions(modulus):
         else:
             assert sol in brute
             assert len(brute) == 2  # z and z + 1
+
+
+def test_artin_schreier_rejects_odd_characteristic():
+    ring = fp.QuotientRing(extension_field(3), (1, 0, 1))
+    with pytest.raises(ValueError):
+        fp.artin_schreier_solve(ring, (1,))

@@ -8,6 +8,7 @@ import pytest
 from curvezeta import (BiPoly, absolute_factor_count, analyze_irreducibility,
                        is_squarefree, reference_factor_count, reversal)
 from curvezeta.errors import OracleUnsupportedError
+from curvezeta.irreducibility import NotSquarefreeError
 from conftest import random_products
 
 T, U = BiPoly.t(), BiPoly.u()
@@ -50,8 +51,8 @@ def test_factor_count_input_guards():
         absolute_factor_count(1 + T)  # u is absent
     with pytest.raises(ValueError):
         absolute_factor_count(1 + U)  # T is absent
-    with pytest.raises(ValueError):
-        absolute_factor_count((T + U) ** 2)  # not squarefree
+    with pytest.raises(NotSquarefreeError):
+        absolute_factor_count((T + U) ** 2)
 
 
 def test_reference_oracle_refuses_what_it_cannot_classify():
@@ -100,6 +101,15 @@ def test_analyze_worked_elliptic():
     assert names == ["reversal leading coefficient", "reversal value at T = 1",
                      "factor count cross-check", "absolutely irreducible"]
     assert all(c.passed for c in report.clauses)
+
+
+def test_analyze_not_squarefree():
+    report = analyze_irreducibility((1 - U * T) ** 2, 1, Fraction(4))
+    assert report.squarefree is False
+    assert report.factor_count is None and report.reference_count is None
+    by_name = {c.name: c for c in report.clauses}
+    assert "factor count cross-check" not in by_name
+    assert not by_name["absolutely irreducible"].passed
 
 
 def test_analyze_zero_class_mass():

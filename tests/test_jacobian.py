@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from curvezeta import (IDENTITY, class_number, count_points, divisor_class,
+from curvezeta import (IDENTITY, Place, class_number, count_points,
+                       counting_measure, divisor_class,
                        effective_divisor_count, effective_divisors,
                        enumerate_jacobian, enumerate_places, extension_field,
                        from_place, lpolynomial_from_counts, parse_curve_spec,
                        strata_table, validate_model)
-from curvezeta.errors import CapacityError, StratificationError
+from curvezeta.errors import (CapacityError, ConsistencyError,
+                              InvalidMeasureError, StratificationError)
 from curvezeta.jacobian import (StratumTable, add, class_section_count,
                                 dual_class_key, negate, scalar,
                                 section_count_to_h0)
@@ -181,21 +183,28 @@ def test_strata_reject_understated_class_count():
 
 
 def test_strata_shape_guards():
+    # a computed table meets the shape constraints in counting_measure
     base = dict(genus=2, q=3, class_count=10)
     good = ((9, 1, 0), (6, 4, 0), (0, 9, 1))
     # zero-section row must show the trivial class exactly once
-    from curvezeta.jacobian import _check_table_shape
-    with pytest.raises(StratificationError):
-        _check_table_shape(StratumTable(rows=((8, 2, 0),) + good[1:], **base))
-    with pytest.raises(StratificationError):
-        _check_table_shape(StratumTable(rows=((8, 1, 1),) + good[1:], **base))
+    with pytest.raises(InvalidMeasureError):
+        counting_measure(StratumTable(rows=((8, 2, 0),) + good[1:], **base))
+    with pytest.raises(InvalidMeasureError):
+        counting_measure(StratumTable(rows=((8, 1, 1),) + good[1:], **base))
     # duality couples rows 0 and 2
-    with pytest.raises(StratificationError):
-        _check_table_shape(StratumTable(rows=good[:2] + ((1, 8, 1),), **base))
+    with pytest.raises(InvalidMeasureError):
+        counting_measure(StratumTable(rows=good[:2] + ((1, 8, 1),), **base))
     # Clifford forbids two sections in degree 1
-    with pytest.raises(StratificationError):
-        _check_table_shape(StratumTable(rows=(good[0], (4, 4, 2), good[2]), **base))
-    _check_table_shape(StratumTable(rows=good, **base))  # sanity
+    with pytest.raises(InvalidMeasureError):
+        counting_measure(StratumTable(rows=(good[0], (4, 4, 2), good[2]), **base))
+    counting_measure(StratumTable(rows=good, **base))  # sanity
+
+
+def test_from_place_rejects_a_non_mumford_pair(worked_elliptic):
+    # x^2 + 1 does not divide v^2 - f for v = 1, so reduction cannot go on
+    bogus = Place("affine", (1, 0, 1), (1,), 2)
+    with pytest.raises(ConsistencyError):
+        from_place(worked_elliptic, bogus)
 
 
 def test_dual_class_and_section_counts():

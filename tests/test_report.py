@@ -1,11 +1,16 @@
 """Report assembly: pipeline wiring, canonical JSON, text rendering."""
 
 import json
+import sys
 from fractions import Fraction
+
+import pytest
 
 from curvezeta import (all_clauses, canonical_json, parse_curve_spec,
                        parse_measure_table, render_text, run_curve_pipeline,
                        run_table_pipeline)
+from curvezeta import finitefield
+from curvezeta.errors import CapacityError
 
 
 def run(text, **kwargs):
@@ -60,6 +65,25 @@ def test_series_order_controls_divisor_checks():
     assert "effective divisor count, degree 6" in names
     assert "divisor count route agreement, degree 6" in names
     assert result.report["input"]["series_order"] == 6
+
+
+def test_max_work_bounds_every_field_the_run_asks_for(monkeypatch):
+    # genus 4 over F_3 needs places of degree 7, i.e. 3^7 > 1000 candidates,
+    # so the run is refused; no field above the bound may be asked for first
+    real = finitefield.extension_field
+    orders = []
+
+    def recording(p, degree=1, **kwargs):
+        orders.append(p ** degree)
+        return real(p, degree, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "curvezeta"
+                and getattr(module, "extension_field", None) is real):
+            monkeypatch.setattr(module, "extension_field", recording)
+    with pytest.raises(CapacityError):
+        run("p=3; f=x^9+x+1", capacity=1000)
+    assert orders and max(orders) <= 1000
 
 
 def test_genus_zero_pipeline():
