@@ -16,6 +16,7 @@ built once at construction time.
 from __future__ import annotations
 
 from array import array
+from itertools import chain, islice
 
 from .errors import CapacityError, ConsistencyError, ModelShapeError
 
@@ -83,6 +84,7 @@ class FiniteField:
             raise CapacityError(
                 f"field order {p}^{degree} = {order} exceeds the work bound {capacity}")
         self.p = p
+        self.base_order = p
         self.degree = degree
         self.order = order
         self.zero = 0
@@ -202,11 +204,6 @@ class FiniteField:
             return pow(a, e % n if n else 0, self.p)
         return self._exp[(self._log[a] * e) % n]
 
-    def is_square(self, a: int) -> bool:
-        if a == 0 or self.p == 2:
-            return True
-        return self.pow(a, (self.order - 1) // 2) == 1
-
     def sqrt(self, a: int) -> int | None:
         """A square root of a, or None when a is a non-residue (odd q)."""
         if a == 0:
@@ -268,13 +265,14 @@ def tonelli_sqrt(field, a: int) -> int | None:
     while t % 2 == 0:
         t //= 2
         s += 1
-    z = None
-    for cand in field.elements():
-        if cand == field.zero:
-            continue
-        if field.pow(cand, (q - 1) // 2) != field.one:
-            z = cand
-            break
+    # elements() lists the base_order constants first.  In an extension of
+    # even degree every constant is a square, so they are tried last; a
+    # field of degree one has nothing else.
+    k = field.base_order
+    candidates = chain(islice(field.elements(), k, None),
+                       islice(field.elements(), 1, k))
+    z = next(cand for cand in candidates
+             if field.pow(cand, (q - 1) // 2) != field.one)
     c = field.pow(z, t)
     r = field.pow(a, (t + 1) // 2)
     u = field.pow(a, t)

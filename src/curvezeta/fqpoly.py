@@ -200,9 +200,11 @@ def is_irreducible(F, poly) -> bool:
 def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> tuple:
     """All monic irreducibles of the given degree, sorted by coefficient key.
 
-    Candidates of a degree are sieved by the products of lower-degree
-    irreducibles, and each survivor is then certified with is_irreducible.
-    Lists are cached on the field, so repeated calls are cheap.
+    Candidates of a degree d are sieved by the products of each monic
+    irreducible of degree a <= d/2 with every monic of degree d - a.  Every
+    reducible monic of degree d has a monic irreducible factor of such a
+    degree, so the survivors are exactly the irreducibles.  Lists are cached
+    on the field, so repeated calls are cheap.
     """
     if degree < 1:
         raise ValueError("irreducible polynomials have degree >= 1")
@@ -225,14 +227,9 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
                     other = decode_monic(F, mval, d - a)
                     prod = mul(F, p_low, other)
                     composite[encode(F, prod[:-1])] = 1
-        found = []
-        for value in range(q ** d):
-            if composite[value]:
-                continue
-            poly = decode_monic(F, value, d)
-            if is_irreducible(F, poly):
-                found.append(poly)
-        F._irreducibles[d] = tuple(found)
+        F._irreducibles[d] = tuple(decode_monic(F, value, d)
+                                   for value in range(q ** d)
+                                   if not composite[value])
     return F._irreducibles[degree]
 
 
@@ -240,13 +237,14 @@ class QuotientRing:
     """F_q[x] / (u) for monic u; a field whenever u is irreducible.
 
     Shares the duck-typed interface of FiniteField that the square-root
-    helpers rely on: order, one, zero, elements(), mul, pow, inv.
+    helpers rely on: order, base_order, one, zero, elements(), mul, pow, inv.
     """
 
     def __init__(self, field, modulus):
         self.field = field
         self.modulus = tuple(modulus)
         self.d = deg(self.modulus)
+        self.base_order = field.order
         self.order = field.order ** self.d
         self.zero = ()
         self.one = (1,)

@@ -6,10 +6,21 @@ degree bounds on g and h, equals the number of irreducible factors of a
 squarefree P over the algebraic closure.  Everything is exact rational
 linear algebra.
 
+Squarefreeness, which that count needs, is decided with univariate gcds
+only.  Let C(u) be the u-content of P, m = deg_T P and n = deg_u P.  A
+repeated factor of P either divides C, or has positive T-degree and then
+stays repeated in every P(T, c) that keeps T-degree m.  If P is squarefree,
+every c where P(T, c) drops degree or shares a root with its T-derivative
+is a root of the resultant Res_T(P, P_T), a nonzero polynomial of u-degree
+at most (2m - 1) n.  So P is squarefree exactly when C is and one of the
+(2m - 1) n + 1 values c = 0, 1, ... gives a P(T, c) of T-degree m that is
+coprime to its T-derivative.
+
 Reference route: factor over the rationals with sympy, then classify each
 rational factor by a closed form (univariate, homogeneous, linear or
 quadratic in one variable).  Shapes outside that list raise
-OracleUnsupportedError rather than guess.
+OracleUnsupportedError rather than guess.  sympy is imported only when this
+route runs.
 """
 
 from __future__ import annotations
@@ -17,68 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .errors import OracleUnsupportedError
 from .ratpoly import (BiPoly, RationalPoly, bivariate_divmod, format_poly,
-                      poly_gcd, squarefree_decomposition)
+                      poly_gcd)
 from .zetatwo import ClauseResult
-
-_ZERO = RationalPoly(())
-
-
-def _tp(P: BiPoly) -> list:
-    """BiPoly as a T-polynomial with coefficients in Q[u]."""
-    return [P.coeff_of_t(i) for i in range(P.t_degree + 1)]
-
-
-def _tp_trim(A: list) -> list:
-    while A and A[-1].is_zero():
-        A.pop()
-    return A
-
-
-def _tp_content(A: list) -> RationalPoly:
-    c = _ZERO
-    for a in A:
-        c = poly_gcd(c, a)
-    return c
-
-
-def _tp_primitive(A: list) -> list:
-    A = _tp_trim(list(A))
-    if not A:
-        return A
-    c = _tp_content(A)
-    return [divmod(a, c)[0] for a in A]
-
-
-def _tp_prem(A: list, B: list) -> list:
-    """Pseudo-remainder of A by B in Q[u][T]."""
-    R = _tp_trim(list(A))
-    db = len(B) - 1
-    lead = B[-1]
-    while R and len(R) - 1 >= db:
-        shift = len(R) - 1 - db
-        top = R[-1]
-        R = [c * lead for c in R]
-        for i, b in enumerate(B):
-            R[i + shift] = R[i + shift] - top * b
-        R = _tp_trim(R)
-    return R
-
-
-def _tp_gcd(A: list, B: list) -> list:
-    """Primitive gcd in Q[u][T] via the primitive polynomial remainder
-    sequence; only the T-degree structure is meaningful to callers."""
-    A = _tp_primitive(A)
-    B = _tp_primitive(B)
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        R = _tp_prem(A, B)
-        A, B = B, _tp_primitive(R)
-    return A
 
 
 class NotSquarefreeError(ValueError):
@@ -86,17 +39,28 @@ class NotSquarefreeError(ValueError):
 
 
 def is_squarefree(P: BiPoly) -> bool:
-    """Squarefree as a bivariate rational polynomial."""
+    """Squarefree as a bivariate rational polynomial.
+
+    With m = deg_T P and n = deg_u P: P is squarefree exactly when its
+    u-content is, and some P(T, c) with c in 0..(2m-1)n keeps T-degree m
+    and is coprime to its T-derivative; the module docstring says why.
+    """
     if P.is_zero():
         return False
-    coeffs = _tp(P)
-    content = _tp_content(coeffs)
-    if any(mult > 1 for _, mult in squarefree_decomposition(content)):
+    m, n = P.t_degree, P.u_degree
+    content = RationalPoly()
+    for i in range(m + 1):
+        content = poly_gcd(content, P.coeff_of_t(i))
+    if poly_gcd(content, content.derivative()).degree > 0:
         return False
-    if P.t_degree == 0:
+    if m == 0:
         return True
-    gcd = _tp_gcd(coeffs, _tp(P.derivative_t()))
-    return len(gcd) - 1 == 0
+    for c in range((2 * m - 1) * n + 1):
+        special = P.eval_u(c)
+        if (special.degree == m
+                and poly_gcd(special, special.derivative()).degree == 0):
+            return True
+    return False
 
 
 def absolute_factor_count(P: BiPoly) -> int:
@@ -160,6 +124,7 @@ def _rank(rows: list) -> int:
 
 
 def _sympy_expr(P: BiPoly, T, u):
+    import sympy
     expr = sympy.Integer(0)
     for (i, j), c in P.terms().items():
         expr += sympy.Rational(c.numerator, c.denominator) * T ** i * u ** j
@@ -169,12 +134,14 @@ def _sympy_expr(P: BiPoly, T, u):
 def _square_in_closure(disc, var) -> bool:
     """Is a nonzero univariate rational polynomial a square over the
     algebraic closure, i.e. are all its root multiplicities even?"""
+    import sympy
     _, parts = sympy.sqf_list(disc, var)
     return all(mult % 2 == 0 for _, mult in parts)
 
 
 def _factor_count_closed_form(fac, T, u) -> int:
     """Absolute factor count of one Q-irreducible polynomial, by shape."""
+    import sympy
     d_t = sympy.degree(fac, gen=T)
     d_u = sympy.degree(fac, gen=u)
     if d_t == 0 or d_u == 0:
@@ -201,6 +168,7 @@ def _factor_count_closed_form(fac, T, u) -> int:
 def reference_factor_count(P: BiPoly) -> int:
     """Independent count of absolute irreducible factors: rational
     factorization plus per-factor closed forms."""
+    import sympy
     T, u = sympy.symbols("T u")
     _, factors = sympy.factor_list(_sympy_expr(P, T, u))
     total = 0

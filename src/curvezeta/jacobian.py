@@ -229,21 +229,3 @@ def strata_table(model: HyperellipticModel, place_table: PlaceTable,
         rows.append(tuple(row))
     return StratumTable(genus=g, q=q, class_count=class_count,
                         rows=tuple(rows))
-
-
-def dual_class_key(model: HyperellipticModel, rep, n: int):
-    """The degree-(2g-2-n) key of the Serre-dual class."""
-    return negate(model, rep), 2 * model.genus - 2 - n
-
-
-def class_section_count(model: HyperellipticModel, place_table: PlaceTable,
-                        rep, n: int) -> int:
-    """h^0 of one degree-n class, by direct bucket size (0 when the class
-    has no effective representative)."""
-    size = 0
-    for divisor in effective_divisors(place_table, n):
-        if divisor_class(model, divisor)[0] == rep:
-            size += 1
-    if size == 0:
-        return 0
-    return section_count_to_h0(model.field.order, size)

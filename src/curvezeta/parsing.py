@@ -232,23 +232,3 @@ def format_fq_poly(coeffs, var: str = "x") -> str:
         else:
             parts.append(f"{var}^{i}" if c == 1 else f"{c}*{var}^{i}")
     return "+".join(reversed(parts)) if parts else "0"
-
-
-def format_mumford(u, v) -> str:
-    return f"U={format_fq_poly(u)};V={format_fq_poly(v)}"
-
-
-def parse_mumford(text: str, *, line: int = 1) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    parts = dict()
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        key, _, value = chunk.partition("=")
-        key = key.strip()
-        if key not in ("U", "V") or key in parts:
-            raise ParseError(f"expected U=...;V=..., got key {key!r}", line, 1)
-        parts[key] = tuple(parse_poly_text(value, "x", line=line))
-    if set(parts) != {"U", "V"}:
-        raise ParseError("Mumford text must set exactly U and V", line, 1)
-    return parts["U"], parts["V"]

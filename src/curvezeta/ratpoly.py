@@ -170,28 +170,6 @@ def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
     return a.monic()
 
 
-def squarefree_decomposition(a: RationalPoly) -> list[tuple[RationalPoly, int]]:
-    """Yun's algorithm: [(factor_i, i)] with a = lead * prod(factor_i^i)."""
-    out = []
-    a = a.monic()
-    if a.degree < 1:
-        return out
-    g = poly_gcd(a, a.derivative())
-    b, _ = divmod(a, g)
-    c, _ = divmod(a.derivative(), g)
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        y = poly_gcd(b, d)
-        if y.degree > 0:
-            out.append((y, i))
-        b, _ = divmod(b, y)
-        c, _ = divmod(d, y)
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
 class BiPoly:
     """Dense bivariate polynomial; rows[i][j] is the T^i u^j coefficient."""
 
@@ -239,10 +217,6 @@ class BiPoly:
     @classmethod
     def from_u_poly(cls, poly: RationalPoly) -> "BiPoly":
         return cls((poly.coeffs,))
-
-    @classmethod
-    def from_t_poly(cls, poly: RationalPoly) -> "BiPoly":
-        return cls(tuple((c,) for c in poly.coeffs))
 
     def terms(self) -> dict:
         return {(i, j): c for i, row in enumerate(self.rows)

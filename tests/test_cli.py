@@ -209,6 +209,15 @@ def test_module_entry_point():
     assert "verification: pass" in proc.stdout
 
 
+def test_import_leaves_sympy_unloaded():
+    # sympy serves only the reference oracle, so startup must not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, curvezeta.cli; assert 'sympy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.skipif(shutil.which("curvezeta") is None,
                     reason="console script not on PATH")
 def test_console_script():

@@ -153,15 +153,22 @@ def test_quotient_ring_field_axioms():
 
 
 def test_quotient_ring_sqrt_odd_order():
-    F = extension_field(3)
-    ring = fp.QuotientRing(F, (2, 2, 1))  # irreducible: x^2+2x+2
-    squares = {ring.mul(a, a) for a in ring.elements()}
-    for a in ring.elements():
-        root = ring.sqrt(a)
-        if a in squares:
-            assert root is not None and ring.mul(root, root) == a
-        else:
-            assert root is None
+    f9 = extension_field(3, 2)
+    rings = [
+        fp.QuotientRing(extension_field(3), (2, 2, 1)),  # x^2+2x+2
+        # degree 1: every element is a constant
+        fp.QuotientRing(extension_field(5), (2, 1)),
+        # degree 2 over F_9: every constant is a square
+        fp.QuotientRing(f9, fp.monic_irreducibles(f9, 2)[0]),
+    ]
+    for ring in rings:
+        squares = {ring.mul(a, a) for a in ring.elements()}
+        for a in ring.elements():
+            root = ring.sqrt(a)
+            if a in squares:
+                assert root is not None and ring.mul(root, root) == a
+            else:
+                assert root is None
 
 
 def test_quotient_ring_pow_matches_naive():

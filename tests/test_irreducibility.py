@@ -1,6 +1,7 @@
 """Absolute factor counting: differential-equation route versus the
 closed-form reference, on inputs whose true count is known by construction."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from curvezeta import (BiPoly, absolute_factor_count, analyze_irreducibility,
                        is_squarefree, reference_factor_count, reversal)
 from curvezeta.errors import OracleUnsupportedError
 from curvezeta.irreducibility import NotSquarefreeError
-from conftest import random_products
+from conftest import FACTOR_POOL, random_products
 
 T, U = BiPoly.t(), BiPoly.u()
 
@@ -36,14 +37,61 @@ def test_known_counts_both_routes(poly, count):
     assert reference_factor_count(poly) == count
 
 
+SQUAREFREE_CASES = [
+    ((1 - T) * (1 - U * T), True),
+    (G1_NUMERATOR, True),
+    ((1 - T) ** 2 * (1 + U), False),
+    ((1 + U) ** 2 * (T + U), False),  # square in the content
+    (BiPoly.from_terms({}), False),
+    (BiPoly.const(3), True),
+    (1 + U + U ** 2, True),  # T-free but squarefree in u
+    # P(T, c) = T^2 at c = 0, 1, 2; c = 3 decides
+    (T ** 2 - U * (U - 1) * (U - 2), True),
+    ((T ** 2 - U * (U - 1) * (U - 2)) ** 2, False),
+    # the leading coefficient vanishes at c = 0
+    (U * T ** 2 + T + 1, True),
+    ((U * T ** 2 + T + 1) ** 2, False),
+    ((1 + U) ** 2 * (1 - U * T) * (T ** 2 + U), False),
+    ((U + 1) ** 2 * (U - 2) ** 3 * (U + 3), False),
+    ((U + 1) * (U - 1) * (U + 2), True),
+    ((T + 1) ** 2 * (T - 2) ** 3 * (T + 3), False),
+    ((T + 1) * (T - 1) * (T + 2), True),
+]
+
+
 def test_is_squarefree():
-    assert is_squarefree((1 - T) * (1 - U * T))
-    assert is_squarefree(G1_NUMERATOR)
-    assert not is_squarefree((1 - T) ** 2 * (1 + U))
-    assert not is_squarefree((1 + U) ** 2 * (T + U))  # square in the content
-    assert not is_squarefree(BiPoly.from_terms({}))
-    assert is_squarefree(BiPoly.const(3))
-    assert is_squarefree(1 + U + U ** 2)  # T-free but squarefree in u
+    for poly, expected in SQUAREFREE_CASES:
+        assert is_squarefree(poly) == expected, poly
+
+
+CONTENT_POOL = [1 + U, U - 2, U, U ** 2 + 1]
+
+
+def _squarefree_by_factoring(poly):
+    """Squarefree by sympy's rational factorization: every multiplicity 1."""
+    import sympy
+    t, u = sympy.symbols("T u")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** i * u ** j
+               for (i, j), c in poly.terms().items())
+    _, factors = sympy.factor_list(expr)
+    return all(mult == 1 for _, mult in factors)
+
+
+def test_is_squarefree_matches_factorization():
+    rng = random.Random(20261018)
+    pool = [poly for poly, _, _ in FACTOR_POOL] + CONTENT_POOL
+    repeated = 0
+    for _ in range(150):
+        product = BiPoly.const(rng.choice([1, -2, 3]))
+        picks = rng.choices(pool, k=rng.randint(1, 3))
+        if rng.random() < 0.4:
+            picks.append(rng.choice(picks))
+        for poly in picks:
+            product = product * poly
+        expected = _squarefree_by_factoring(product)
+        repeated += not expected
+        assert is_squarefree(product) == expected, product
+    assert 50 <= repeated <= 100  # both answers are well represented
 
 
 def test_factor_count_input_guards():

@@ -6,7 +6,7 @@ import pytest
 
 from curvezeta import parse_curve_spec, parse_measure_table, parse_poly_text
 from curvezeta.errors import ParseError
-from curvezeta.parsing import format_fq_poly, format_mumford, parse_mumford
+from curvezeta.parsing import format_fq_poly
 
 
 @pytest.mark.parametrize("text,coeffs", [
@@ -126,13 +126,3 @@ def test_format_fq_poly():
     assert format_fq_poly((1, 2)) == "2*x+1"
     assert format_fq_poly((0,)) == "0"
     assert format_fq_poly(()) == "0"
-
-
-def test_mumford_round_trip():
-    u, v = (2, 0, 1), (1, 2)
-    text = format_mumford(u, v)
-    assert parse_mumford(text) == (u, v)
-    with pytest.raises(ParseError):
-        parse_mumford("U=x^2+2")
-    with pytest.raises(ParseError):
-        parse_mumford("U=x; V=1; W=2")

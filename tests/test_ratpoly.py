@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from curvezeta import BiPoly, RationalPoly
 from curvezeta.errors import NotDivisibleError
 from curvezeta.ratpoly import (bivariate_divmod, bivariate_exact_divide,
-                               format_poly, poly_gcd, series_expand_rational,
-                               squarefree_decomposition)
+                               format_poly, poly_gcd, series_expand_rational)
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -54,23 +53,6 @@ def test_gcd_of_constructed_common_factor():
     a = common * RationalPoly((3, 1))
     b = common * RationalPoly((-1, 1))
     assert poly_gcd(a, b) == common
-
-
-def test_squarefree_decomposition_reconstructs():
-    x = RationalPoly.x()
-    poly = (x + 1) ** 2 * (x - 2) ** 3 * (x + 3)
-    parts = squarefree_decomposition(poly)
-    product = RationalPoly.const(1)
-    for factor, mult in parts:
-        product = product * factor ** mult
-    assert product == poly.monic()
-    assert sorted(m for _, m in parts) == [1, 2, 3]
-
-
-def test_squarefree_decomposition_flat_for_squarefree_input():
-    x = RationalPoly.x()
-    poly = (x + 1) * (x - 1) * (x + 2)
-    assert all(m == 1 for _, m in squarefree_decomposition(poly))
 
 
 def test_evaluate_and_derivative():
