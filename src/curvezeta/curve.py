@@ -202,12 +202,20 @@ class Place:
 
 @dataclass(frozen=True)
 class PlaceTable:
+    """Place counts N_1 .. N_max_degree, and the places themselves in the
+    degrees up to list_to."""
     model: HyperellipticModel
     max_degree: int
-    by_degree: dict  # degree -> tuple[Place, ...]
+    list_to: int
+    by_degree: dict  # degree -> tuple[Place, ...], for degrees <= list_to
+    place_counts: tuple[int, ...]  # N_1 .. N_max_degree
     point_counts: tuple[int, ...]  # a_1 .. a_max_degree
 
     def places(self, degree: int) -> tuple:
+        if degree > self.list_to:
+            raise ValueError(
+                f"places of degree {degree} asked of a table listed to "
+                f"degree {self.list_to}")
         return self.by_degree.get(degree, ())
 
     def all_places(self):
@@ -215,68 +223,114 @@ class PlaceTable:
             yield from self.by_degree[d]
 
     def count(self, degree: int) -> int:
-        return len(self.by_degree.get(degree, ()))
+        if not 1 <= degree <= self.max_degree:
+            raise ValueError(
+                f"place count of degree {degree} asked of a table of depth "
+                f"{self.max_degree}")
+        return self.place_counts[degree - 1]
+
+
+def _fiber(model: HyperellipticModel, u, disc, *, listed: bool):
+    """How the fiber over the monic irreducible u decomposes, and, when
+    listed, the v of each affine place in it.
+
+    Returns (split, vs): split is 1 (two affine places), 0 (one, ramified)
+    or -1 (inert).  disc is f + h^2/4 for odd q and unused in
+    characteristic 2.
+    """
+    F = model.field
+    ring = fp.QuotientRing(F, u)
+    hbar = fp.mod(F, model.h, u)
+    if F.p != 2:
+        delta = fp.mod(F, disc, u)
+        split = fp.quadratic_character(F, delta, u)
+        if not listed:
+            return split, None
+        base_v = fp.scale(F, F.neg(F.inv(2 % F.p)), hbar)
+        if not split:
+            return 0, (base_v,)
+        root = ring.sqrt(delta)
+        if (root is None) != (split < 0):
+            raise ConsistencyError(
+                f"quadratic character {split} of {delta} mod {u} disagrees "
+                "with its square root")
+        if root is None:
+            return -1, ()
+        return 1, (ring.add(base_v, root), ring.sub(base_v, root))
+    fbar = fp.mod(F, model.f, u)
+    if not hbar:
+        return 0, ((ring.pow(fbar, ring.order // 2),) if listed else None)
+    w = ring.mul(fbar, ring.pow(ring.inv(hbar), 2))
+    split = 1 - 2 * fp.absolute_trace(F, w, u)
+    if not listed:
+        return split, None
+    sol = fp.artin_schreier_solve(ring, w)
+    if (sol is None) != (split < 0):
+        raise ConsistencyError(
+            f"trace of {w} mod {u} disagrees with Artin-Schreier solvability")
+    if sol is None:
+        return -1, ()
+    v1 = ring.mul(hbar, sol)
+    return 1, (v1, ring.add(v1, hbar))
 
 
 def enumerate_places(model: HyperellipticModel, max_degree: int, *,
+                     list_to: int | None = None,
                      capacity: int = DEFAULT_CAPACITY) -> PlaceTable:
-    """Every place of degree <= max_degree, grouped by degree.
+    """Count the places of every degree <= max_degree, and list those of
+    degree <= list_to (default: max_degree), grouped by degree.
 
-    The table is checked against independent point counts before it is
-    returned: sum over d | m of d * N_d must equal |X(F_(q^m))| for every
-    m <= max_degree.
+    The fiber over each monic irreducible u splits into two affine places,
+    ramifies into one, or stays inert (one place of degree 2 deg u).  One
+    square-class test decides which: the quadratic character of
+    f + h^2/4 mod u for odd q, the absolute trace of f/h^2 mod u in
+    characteristic 2.  Only listed places need their v, a square root
+    (Tonelli) or an Artin-Schreier solution, and where both run they must
+    agree.  Strata read places only up to degree 2g-2, so deeper degrees
+    can be counted without being listed.
+
+    The counts are checked against independent point counts before the
+    table is returned: sum over d | m of d * N_d must equal |X(F_(q^m))|,
+    counted by exhaustion over x, for every m <= max_degree.
     """
+    if list_to is None:
+        list_to = max_degree
     if max_degree < 1:
         raise ValueError("place table depth must be >= 1")
+    if not 1 <= list_to <= max_degree:
+        raise ValueError(
+            f"listed depth {list_to} must lie in 1..{max_degree}")
     F = model.field
-    found: dict[int, list[Place]] = {d: [] for d in range(1, max_degree + 1)}
+    found: dict[int, list[Place]] = {d: [] for d in range(1, list_to + 1)}
     found[1].append(Place("infinite", None, None, 1))
-    p = F.p
-    if p != 2:
-        quarter = F.inv(4 % p)
-        minus_half = F.neg(F.inv(2 % p))
+    tally = [0] * (max_degree + 1)
+    tally[1] = 1
+    disc = None
+    if F.p != 2:
+        disc = fp.add(F, model.f, fp.scale(F, F.inv(4 % F.p),
+                                           fp.mul(F, model.h, model.h)))
     for d in range(1, max_degree + 1):
         for u in fp.monic_irreducibles(F, d, capacity=capacity):
-            ring = fp.QuotientRing(F, u)
-            fbar = fp.mod(F, model.f, u)
-            hbar = fp.mod(F, model.h, u)
-            if p != 2:
-                delta = ring.add(fbar, fp.scale(F, quarter, ring.mul(hbar, hbar)))
-                base_v = fp.scale(F, minus_half, hbar)
-                if not delta:
-                    found[d].append(Place("affine", u, base_v, d))
-                    continue
-                root = ring.sqrt(delta)
-                if root is None:
-                    if 2 * d <= max_degree:
-                        found[2 * d].append(Place("inert", u, None, 2 * d))
-                    continue
-                for v in (ring.add(base_v, root), ring.sub(base_v, root)):
-                    found[d].append(Place("affine", u, v, d))
+            split, vs = _fiber(model, u, disc, listed=d <= list_to)
+            if split < 0:
+                if 2 * d <= max_degree:
+                    tally[2 * d] += 1
+                if 2 * d <= list_to:
+                    found[2 * d].append(Place("inert", u, None, 2 * d))
             else:
-                if not hbar:
-                    v = ring.pow(fbar, ring.order // 2)
-                    found[d].append(Place("affine", u, v, d))
-                    continue
-                w = ring.mul(fbar, ring.pow(ring.inv(hbar), 2))
-                sol = fp.artin_schreier_solve(ring, w)
-                if sol is None:
-                    if 2 * d <= max_degree:
-                        found[2 * d].append(Place("inert", u, None, 2 * d))
-                    continue
-                v1 = ring.mul(hbar, sol)
-                for v in (v1, ring.add(v1, hbar)):
-                    found[d].append(Place("affine", u, v, d))
+                tally[d] += 1 + split
+                if d <= list_to:
+                    found[d].extend(Place("affine", u, v, d) for v in vs)
     by_degree = {d: tuple(sorted(places, key=lambda pl: pl.sort_key(F)))
                  for d, places in found.items() if places}
     counts = tuple(count_points(model, m, capacity=capacity)
                    for m in range(1, max_degree + 1))
     for m in range(1, max_degree + 1):
-        weighted = sum(d * len(by_degree.get(d, ()))
-                       for d in range(1, m + 1) if m % d == 0)
+        weighted = sum(d * tally[d] for d in range(1, m + 1) if m % d == 0)
         if weighted != counts[m - 1]:
             raise ConsistencyError(
                 f"place table disagrees with point counts at degree {m}: "
                 f"sum d*N_d = {weighted} but |X(F_q^{m})| = {counts[m - 1]}")
-    return PlaceTable(model=model, max_degree=max_degree,
-                      by_degree=by_degree, point_counts=counts)
+    return PlaceTable(model=model, max_degree=max_degree, list_to=list_to,
+                      by_degree=by_degree, place_counts=tuple(tally[1:]),
+                      point_counts=counts)

@@ -222,15 +222,72 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
             continue
         composite = bytearray(q ** d)
         for a in range(1, d // 2 + 1):
+            others = [decode_monic(F, mval, d - a) for mval in range(q ** (d - a))]
             for p_low in F._irreducibles[a]:
-                for mval in range(q ** (d - a)):
-                    other = decode_monic(F, mval, d - a)
+                for other in others:
                     prod = mul(F, p_low, other)
                     composite[encode(F, prod[:-1])] = 1
         F._irreducibles[d] = tuple(decode_monic(F, value, d)
                                    for value in range(q ** d)
                                    if not composite[value])
     return F._irreducibles[degree]
+
+
+def quadratic_character(F, a, u) -> int:
+    """The Jacobi symbol (a / u) for monic u over F_q, q odd: 0, 1 or -1.
+
+    For irreducible u this is the quadratic character of a in the field
+    F_q[x]/(u): 1 on nonzero squares, -1 on non-squares, 0 when u | a.  It
+    is computed by Euclid's algorithm with polynomial quadratic reciprocity
+    (Rosen, Number Theory in Function Fields, ch. 3): for coprime monic A
+    and B, (A / B) = (-1)^(((q-1)/2) deg A deg B) (B / A), and a constant c
+    has (c / B) = chi(c)^(deg B), with chi the quadratic character of F_q.
+    No power is taken in F_q[x]/(u).
+    """
+    if F.p == 2:
+        raise ValueError("quadratic_character needs odd characteristic")
+    half = (F.order - 1) // 2
+    sign = 1
+    a, b = mod(F, a, u), tuple(u)
+    while deg(b) > 0:
+        if not a:
+            return 0
+        c = a[-1]
+        if c != 1:
+            if deg(b) % 2 and F.pow(c, half) != 1:
+                sign = -sign
+            a = scale(F, F.inv(c), a)
+        if half % 2 and deg(a) % 2 and deg(b) % 2:
+            sign = -sign
+        a, b = mod(F, b, a), a
+    return sign
+
+
+def absolute_trace(F, a, u) -> int:
+    """The trace of a from F_q[x]/(u) down to F_2, as the int 0 or 1, for
+    monic irreducible u in characteristic 2.
+
+    The trace down to F_q is sum_i a_i s_i, where s_i is the i-th power sum
+    of the roots of u, read off u's coefficients by Newton's identities;
+    FiniteField.absolute_trace takes it the rest of the way (Lidl and
+    Niederreiter, Finite Fields, ch. 2).  z^2 + z = a is solvable exactly
+    when this trace is 0.
+    """
+    if F.p != 2:
+        raise ValueError("absolute_trace is only provided in characteristic 2")
+    a = mod(F, a, u)
+    d = deg(u)
+    # s_k = k c_(d-k) + sum_(i<k) c_(d-i) s_(k-i), signs dropped in char 2
+    sums = [d % 2]
+    for k in range(1, len(a)):
+        acc = u[d - k] if k % 2 else 0
+        for i in range(1, k):
+            acc = F.add(acc, F.mul(u[d - i], sums[k - i]))
+        sums.append(acc)
+    t = 0
+    for coeff, s in zip(a, sums):
+        t = F.add(t, F.mul(coeff, s))
+    return F.absolute_trace(t)
 
 
 class QuotientRing:

@@ -140,8 +140,13 @@ def enumerate_jacobian(model: HyperellipticModel, *,
 
 
 def effective_divisors(place_table: PlaceTable, n: int):
-    """Yield every effective divisor of degree n as a tuple of
-    (place, multiplicity) pairs, places in table order."""
+    """Every effective divisor of degree n, lazily, as a tuple of
+    (place, multiplicity) pairs, places in table order.  Raises at once if
+    the table does not list places up to degree n."""
+    if n > place_table.list_to:
+        raise ValueError(
+            f"effective divisors of degree {n} need places listed to degree "
+            f"{n}, table lists to {place_table.list_to}")
     places = [p for p in place_table.all_places() if p.degree <= n]
 
     def rec(idx, remaining):
@@ -158,7 +163,7 @@ def effective_divisors(place_table: PlaceTable, n: int):
             for rest in rec(idx + 1, remaining - mult * place.degree):
                 yield ((place, mult),) + rest if mult else rest
 
-    yield from rec(0, n)
+    return rec(0, n)
 
 
 def section_count_to_h0(q: int, size: int) -> int:
@@ -200,10 +205,10 @@ def strata_table(model: HyperellipticModel, place_table: PlaceTable,
     g = model.genus
     q = model.field.order
     top = 2 * g - 2
-    if top > 0 and place_table.max_degree < top:
+    if top > 0 and place_table.list_to < top:
         raise ValueError(
-            f"strata need places up to degree {top}, table has "
-            f"{place_table.max_degree}")
+            f"strata need places listed up to degree {top}, table lists to "
+            f"{place_table.list_to}")
     rows = []
     for n in range(top + 1):
         buckets: dict = {}

@@ -166,3 +166,60 @@ def test_char2_validation_searches_extensions():
         build("p=2; f=x^5+x^3; h=x")
     # same h but f'(0) = 1 keeps the model smooth
     build("p=2; f=x^5+x^3+x; h=x")
+
+
+# (spec, depth): odd and even characteristic, k = 1 and k > 1, and h with
+# roots in characteristic 2 (ramified fibers over them)
+PARTIAL_TABLE_CURVES = [
+    ("p=3; f=x^3+x", 4),
+    ("p=3; f=x^5+2*x+1", 6),
+    ("p=5; f=x^5+x^2+1", 4),
+    ("p=2; f=x^3+0*x+1; h=1", 6),
+    ("p=2; f=x^5; h=1", 6),
+    ("p=2; f=x^5+x^3+x; h=x", 5),
+    ("p=3; k=2; f=x^3+x", 3),
+    ("p=2; k=2; f=x^3+x; h=1", 4),
+]
+
+
+@pytest.mark.parametrize("text,depth", PARTIAL_TABLE_CURVES)
+def test_partial_table_matches_full_table(text, depth):
+    model = build(text)
+    full = enumerate_places(model, depth)
+    assert full.list_to == depth
+    for list_to in range(1, depth):
+        part = enumerate_places(model, depth, list_to=list_to)
+        assert part.list_to == list_to
+        assert part.point_counts == full.point_counts
+        for d in range(1, depth + 1):
+            assert part.count(d) == full.count(d) == sum(
+                1 for _ in full.places(d))
+        for d in range(1, list_to + 1):
+            assert part.places(d) == full.places(d)
+        assert list(part.all_places()) == [
+            pl for pl in full.all_places() if pl.degree <= list_to]
+
+
+def test_places_refuses_degrees_beyond_the_listed_depth(worked_elliptic):
+    table = enumerate_places(worked_elliptic, 4, list_to=2)
+    assert table.places(2)
+    with pytest.raises(ValueError):
+        table.places(3)
+    with pytest.raises(ValueError):
+        table.count(5)
+    for list_to in (0, 5):
+        with pytest.raises(ValueError):
+            enumerate_places(worked_elliptic, 4, list_to=list_to)
+
+
+def test_square_class_disagreement_is_reported(monkeypatch):
+    import curvezeta.fqpoly as fp
+    odd = build("p=3; f=x^3+x")
+    # every fiber called split: the inert fiber over x - 1 has no root
+    monkeypatch.setattr(fp, "quadratic_character", lambda F, a, u: 1 if a else 0)
+    with pytest.raises(ConsistencyError):
+        enumerate_places(odd, 2)
+    even = build("p=2; f=x^3+0*x+1; h=1")
+    monkeypatch.setattr(fp, "absolute_trace", lambda F, a, u: 0)
+    with pytest.raises(ConsistencyError):
+        enumerate_places(even, 2)

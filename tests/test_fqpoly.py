@@ -201,3 +201,57 @@ def test_artin_schreier_rejects_odd_characteristic():
     ring = fp.QuotientRing(extension_field(3), (1, 0, 1))
     with pytest.raises(ValueError):
         fp.artin_schreier_solve(ring, (1,))
+
+
+def next_irreducible(F, degree, start):
+    """The first monic irreducible of the degree whose coefficient key is at
+    or after start, wrapping around; found by the irreducibility test."""
+    n = F.order ** degree
+    return next(u for u in (fp.decode_monic(F, (start + i) % n, degree)
+                            for i in range(n)) if fp.is_irreducible(F, u))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]),
+       st.integers(1, 5), st.data())
+def test_quadratic_character_matches_euler_criterion(pk, d, data):
+    F = extension_field(*pk)
+    q = F.order
+    u = next_irreducible(F, d, data.draw(st.integers(0, q ** d - 1)))
+    a = fp.trim(data.draw(st.lists(st.integers(0, q - 1), max_size=2 * d + 2)))
+    minus_one = (F.neg(1),)
+    # any a, a multiple of u, and a constant
+    for case in (a, fp.mul(F, a, u), a[:1]):
+        euler = fp.pow_mod(F, case, (q ** d - 1) // 2, u)
+        if not fp.mod(F, case, u):
+            assert euler == ()
+            expected = 0
+        else:
+            assert euler in ((1,), minus_one)
+            expected = 1 if euler == (1,) else -1
+        assert fp.quadratic_character(F, case, u) == expected
+
+
+def test_quadratic_character_rejects_characteristic_two():
+    with pytest.raises(ValueError):
+        fp.quadratic_character(extension_field(2), (1,), (1, 1))
+
+
+@pytest.mark.parametrize("k,max_d", [(1, 5), (2, 4), (3, 3)])
+def test_absolute_trace_decides_artin_schreier(k, max_d):
+    F = extension_field(2, k)
+    for d in range(1, max_d + 1):
+        for u in fp.monic_irreducibles(F, d)[:2]:
+            ring = fp.QuotientRing(F, u)
+            for w in ring.elements():
+                trace = fp.absolute_trace(F, w, u)
+                solvable = fp.artin_schreier_solve(ring, w) is not None
+                assert trace in (0, 1)
+                assert (trace == 0) == solvable
+                # the trace reads w mod u
+                assert fp.absolute_trace(F, fp.add(F, w, fp.mul(F, u, fp.X)), u) == trace
+
+
+def test_absolute_trace_rejects_odd_characteristic():
+    with pytest.raises(ValueError):
+        fp.absolute_trace(extension_field(3), (1,), (1, 1))
