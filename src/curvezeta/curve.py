@@ -15,7 +15,7 @@ monic irreducible u = u(x) below them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from . import fqpoly as fp
 from .errors import ConsistencyError, ModelShapeError, SingularCurveError
@@ -202,127 +202,150 @@ class Place:
 
 @dataclass(frozen=True)
 class PlaceTable:
-    """Place counts N_1 .. N_max_degree, and the places themselves in the
-    degrees up to list_to."""
+    """Place counts N_1 .. N_max_degree and point counts a_1 .. a_max_degree.
+
+    The places of a degree are listed the first time that degree is asked
+    for, and kept: listing needs a square root (Tonelli) or an
+    Artin-Schreier solution per split fiber, while the strata read places
+    only up to degree 2g-2 and the Euler product reads only the counts.
+    """
     model: HyperellipticModel
     max_degree: int
-    list_to: int
-    by_degree: dict  # degree -> tuple[Place, ...], for degrees <= list_to
     place_counts: tuple[int, ...]  # N_1 .. N_max_degree
     point_counts: tuple[int, ...]  # a_1 .. a_max_degree
+    capacity: int  # the work bound the table was enumerated under
+    # degree -> tuple[Place, ...], for the degrees listed so far
+    by_degree: dict = dataclass_field(default_factory=dict, compare=False,
+                                      repr=False)
 
-    def places(self, degree: int) -> tuple:
-        if degree > self.list_to:
-            raise ValueError(
-                f"places of degree {degree} asked of a table listed to "
-                f"degree {self.list_to}")
-        return self.by_degree.get(degree, ())
-
-    def all_places(self):
-        for d in sorted(self.by_degree):
-            yield from self.by_degree[d]
-
-    def count(self, degree: int) -> int:
+    def _check_degree(self, degree: int) -> None:
         if not 1 <= degree <= self.max_degree:
             raise ValueError(
-                f"place count of degree {degree} asked of a table of depth "
+                f"degree {degree} asked of a place table of depth "
                 f"{self.max_degree}")
+
+    def places(self, degree: int) -> tuple:
+        self._check_degree(degree)
+        if degree not in self.by_degree:
+            self.by_degree[degree] = _list_places(self.model, degree,
+                                                  self.capacity)
+        return self.by_degree[degree]
+
+    def all_places(self):
+        for d in range(1, self.max_degree + 1):
+            yield from self.places(d)
+
+    def count(self, degree: int) -> int:
+        self._check_degree(degree)
         return self.place_counts[degree - 1]
 
 
-def _fiber(model: HyperellipticModel, u, disc, *, listed: bool):
-    """How the fiber over the monic irreducible u decomposes, and, when
-    listed, the v of each affine place in it.
+def _discriminant(model: HyperellipticModel):
+    """f + h^2/4 for odd q, whose square class mod u decides the fiber over
+    u; None in characteristic 2."""
+    F = model.field
+    if F.p == 2:
+        return None
+    return fp.add(F, model.f,
+                  fp.scale(F, F.inv(4 % F.p), fp.mul(F, model.h, model.h)))
 
-    Returns (split, vs): split is 1 (two affine places), 0 (one, ramified)
-    or -1 (inert).  disc is f + h^2/4 for odd q and unused in
-    characteristic 2.
+
+def _fiber_class(model: HyperellipticModel, disc, u) -> int:
+    """1, 0 or -1: the fiber over the monic irreducible u splits into two
+    affine places, ramifies into one, or stays inert.
+
+    One square-class test decides it: the quadratic character of
+    f + h^2/4 mod u for odd q, the absolute trace of f/h^2 mod u in
+    characteristic 2 (ramified where u | h).
     """
+    F = model.field
+    if F.p != 2:
+        return fp.quadratic_character(F, fp.mod(F, disc, u), u)
+    hbar = fp.mod(F, model.h, u)
+    if not hbar:
+        return 0
+    ring = fp.QuotientRing(F, u)
+    w = ring.mul(fp.mod(F, model.f, u), ring.pow(ring.inv(hbar), 2))
+    return 1 - 2 * fp.absolute_trace(F, w, u)
+
+
+def _affine_places(model: HyperellipticModel, disc, u, split: int) -> list:
+    """The affine places over u, whose fiber class split is 1 or 0.  The
+    root extraction must agree with the square-class test."""
     F = model.field
     ring = fp.QuotientRing(F, u)
     hbar = fp.mod(F, model.h, u)
     if F.p != 2:
-        delta = fp.mod(F, disc, u)
-        split = fp.quadratic_character(F, delta, u)
-        if not listed:
-            return split, None
         base_v = fp.scale(F, F.neg(F.inv(2 % F.p)), hbar)
         if not split:
-            return 0, (base_v,)
-        root = ring.sqrt(delta)
-        if (root is None) != (split < 0):
-            raise ConsistencyError(
-                f"quadratic character {split} of {delta} mod {u} disagrees "
-                "with its square root")
-        if root is None:
-            return -1, ()
-        return 1, (ring.add(base_v, root), ring.sub(base_v, root))
-    fbar = fp.mod(F, model.f, u)
-    if not hbar:
-        return 0, ((ring.pow(fbar, ring.order // 2),) if listed else None)
-    w = ring.mul(fbar, ring.pow(ring.inv(hbar), 2))
-    split = 1 - 2 * fp.absolute_trace(F, w, u)
-    if not listed:
-        return split, None
-    sol = fp.artin_schreier_solve(ring, w)
-    if (sol is None) != (split < 0):
-        raise ConsistencyError(
-            f"trace of {w} mod {u} disagrees with Artin-Schreier solvability")
-    if sol is None:
-        return -1, ()
-    v1 = ring.mul(hbar, sol)
-    return 1, (v1, ring.add(v1, hbar))
+            vs = (base_v,)
+        else:
+            root = ring.sqrt(fp.mod(F, disc, u))
+            if root is None:
+                raise ConsistencyError(
+                    f"f + h^2/4 has quadratic character 1 mod {u} but no "
+                    "square root")
+            vs = (ring.add(base_v, root), ring.sub(base_v, root))
+    else:
+        fbar = fp.mod(F, model.f, u)
+        if not split:
+            vs = (ring.pow(fbar, ring.order // 2),)
+        else:
+            w = ring.mul(fbar, ring.pow(ring.inv(hbar), 2))
+            sol = fp.artin_schreier_solve(ring, w)
+            if sol is None:
+                raise ConsistencyError(
+                    f"f/h^2 has trace 0 mod {u} but z^2 + z = {w} has no "
+                    "solution")
+            v1 = ring.mul(hbar, sol)
+            vs = (v1, ring.add(v1, hbar))
+    return [Place("affine", u, v, fp.deg(u)) for v in vs]
+
+
+def _list_places(model: HyperellipticModel, degree: int,
+                 capacity: int) -> tuple:
+    """Every place of the given degree, in sort_key order: affine places
+    over the irreducibles of that degree, inert places over those of half
+    of it, and the infinite place in degree 1."""
+    F = model.field
+    disc = _discriminant(model)
+    found = [Place("infinite", None, None, 1)] if degree == 1 else []
+    for u in fp.monic_irreducibles(F, degree, capacity=capacity):
+        split = _fiber_class(model, disc, u)
+        if split >= 0:
+            found += _affine_places(model, disc, u, split)
+    if degree % 2 == 0:
+        for u in fp.monic_irreducibles(F, degree // 2, capacity=capacity):
+            if _fiber_class(model, disc, u) < 0:
+                found.append(Place("inert", u, None, degree))
+    return tuple(sorted(found, key=lambda pl: pl.sort_key(F)))
 
 
 def enumerate_places(model: HyperellipticModel, max_degree: int, *,
-                     list_to: int | None = None,
                      capacity: int = DEFAULT_CAPACITY) -> PlaceTable:
-    """Count the places of every degree <= max_degree, and list those of
-    degree <= list_to (default: max_degree), grouped by degree.
+    """The place table to depth max_degree: N_d for every d <= max_degree,
+    the places of degree <= max(2g-2, 1), and those of any deeper degree
+    listed when first asked for.
 
-    The fiber over each monic irreducible u splits into two affine places,
-    ramifies into one, or stays inert (one place of degree 2 deg u).  One
-    square-class test decides which: the quadratic character of
-    f + h^2/4 mod u for odd q, the absolute trace of f/h^2 mod u in
-    characteristic 2.  Only listed places need their v, a square root
-    (Tonelli) or an Artin-Schreier solution, and where both run they must
-    agree.  Strata read places only up to degree 2g-2, so deeper degrees
-    can be counted without being listed.
-
-    The counts are checked against independent point counts before the
-    table is returned: sum over d | m of d * N_d must equal |X(F_(q^m))|,
-    counted by exhaustion over x, for every m <= max_degree.
+    N_d comes from the irreducible sieve plus one square-class test per
+    fiber (_fiber_class); no square root is taken here.  The counts are
+    checked against independent point counts before the table is returned:
+    sum over d | m of d * N_d must equal |X(F_(q^m))|, counted by exhaustion
+    over x, for every m <= max_degree.
     """
-    if list_to is None:
-        list_to = max_degree
     if max_degree < 1:
         raise ValueError("place table depth must be >= 1")
-    if not 1 <= list_to <= max_degree:
-        raise ValueError(
-            f"listed depth {list_to} must lie in 1..{max_degree}")
     F = model.field
-    found: dict[int, list[Place]] = {d: [] for d in range(1, list_to + 1)}
-    found[1].append(Place("infinite", None, None, 1))
+    disc = _discriminant(model)
     tally = [0] * (max_degree + 1)
-    tally[1] = 1
-    disc = None
-    if F.p != 2:
-        disc = fp.add(F, model.f, fp.scale(F, F.inv(4 % F.p),
-                                           fp.mul(F, model.h, model.h)))
+    tally[1] = 1  # the infinite place
     for d in range(1, max_degree + 1):
         for u in fp.monic_irreducibles(F, d, capacity=capacity):
-            split, vs = _fiber(model, u, disc, listed=d <= list_to)
-            if split < 0:
-                if 2 * d <= max_degree:
-                    tally[2 * d] += 1
-                if 2 * d <= list_to:
-                    found[2 * d].append(Place("inert", u, None, 2 * d))
-            else:
+            split = _fiber_class(model, disc, u)
+            if split >= 0:
                 tally[d] += 1 + split
-                if d <= list_to:
-                    found[d].extend(Place("affine", u, v, d) for v in vs)
-    by_degree = {d: tuple(sorted(places, key=lambda pl: pl.sort_key(F)))
-                 for d, places in found.items() if places}
+            elif 2 * d <= max_degree:
+                tally[2 * d] += 1
     counts = tuple(count_points(model, m, capacity=capacity)
                    for m in range(1, max_degree + 1))
     for m in range(1, max_degree + 1):
@@ -331,6 +354,12 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
             raise ConsistencyError(
                 f"place table disagrees with point counts at degree {m}: "
                 f"sum d*N_d = {weighted} but |X(F_q^{m})| = {counts[m - 1]}")
-    return PlaceTable(model=model, max_degree=max_degree, list_to=list_to,
-                      by_degree=by_degree, place_counts=tuple(tally[1:]),
-                      point_counts=counts)
+    table = PlaceTable(model=model, max_degree=max_degree,
+                       place_counts=tuple(tally[1:]), point_counts=counts,
+                       capacity=capacity)
+    # List the degrees the strata read, and degree 1 at every genus, so
+    # that each table runs the root extraction against the square-class
+    # test at least once.
+    for d in range(1, min(max_degree, max(2 * model.genus - 2, 1)) + 1):
+        table.places(d)
+    return table

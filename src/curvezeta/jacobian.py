@@ -140,14 +140,9 @@ def enumerate_jacobian(model: HyperellipticModel, *,
 
 
 def effective_divisors(place_table: PlaceTable, n: int):
-    """Every effective divisor of degree n, lazily, as a tuple of
-    (place, multiplicity) pairs, places in table order.  Raises at once if
-    the table does not list places up to degree n."""
-    if n > place_table.list_to:
-        raise ValueError(
-            f"effective divisors of degree {n} need places listed to degree "
-            f"{n}, table lists to {place_table.list_to}")
-    places = [p for p in place_table.all_places() if p.degree <= n]
+    """Yield every effective divisor of degree n as a tuple of
+    (place, multiplicity) pairs, places in table order."""
+    places = [p for d in range(1, n + 1) for p in place_table.places(d)]
 
     def rec(idx, remaining):
         if remaining == 0:
@@ -163,7 +158,7 @@ def effective_divisors(place_table: PlaceTable, n: int):
             for rest in rec(idx + 1, remaining - mult * place.degree):
                 yield ((place, mult),) + rest if mult else rest
 
-    return rec(0, n)
+    yield from rec(0, n)
 
 
 def section_count_to_h0(q: int, size: int) -> int:
@@ -205,10 +200,10 @@ def strata_table(model: HyperellipticModel, place_table: PlaceTable,
     g = model.genus
     q = model.field.order
     top = 2 * g - 2
-    if top > 0 and place_table.list_to < top:
+    if top > 0 and place_table.max_degree < top:
         raise ValueError(
-            f"strata need places listed up to degree {top}, table lists to "
-            f"{place_table.list_to}")
+            f"strata need places up to degree {top}, table has "
+            f"{place_table.max_degree}")
     rows = []
     for n in range(top + 1):
         buckets: dict = {}

@@ -74,8 +74,7 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
 
     t0 = time.perf_counter()
     depth = max(order, 2 * g - 2, 1)
-    places = curvemod.enumerate_places(model, depth, list_to=max(2 * g - 2, 1),
-                                       capacity=capacity)
+    places = curvemod.enumerate_places(model, depth, capacity=capacity)
     stage("places", t0)
 
     # a_1..a_depth come with the place table; only a short series order

@@ -170,7 +170,7 @@ def test_char2_validation_searches_extensions():
 
 # (spec, depth): odd and even characteristic, k = 1 and k > 1, and h with
 # roots in characteristic 2 (ramified fibers over them)
-PARTIAL_TABLE_CURVES = [
+LISTING_CURVES = [
     ("p=3; f=x^3+x", 4),
     ("p=3; f=x^5+2*x+1", 6),
     ("p=5; f=x^5+x^2+1", 4),
@@ -182,34 +182,39 @@ PARTIAL_TABLE_CURVES = [
 ]
 
 
-@pytest.mark.parametrize("text,depth", PARTIAL_TABLE_CURVES)
-def test_partial_table_matches_full_table(text, depth):
+@pytest.mark.parametrize("text,depth", LISTING_CURVES)
+def test_places_listed_on_demand_match_the_counts(text, depth):
+    import curvezeta.fqpoly as fp
     model = build(text)
-    full = enumerate_places(model, depth)
-    assert full.list_to == depth
-    for list_to in range(1, depth):
-        part = enumerate_places(model, depth, list_to=list_to)
-        assert part.list_to == list_to
-        assert part.point_counts == full.point_counts
-        for d in range(1, depth + 1):
-            assert part.count(d) == full.count(d) == sum(
-                1 for _ in full.places(d))
-        for d in range(1, list_to + 1):
-            assert part.places(d) == full.places(d)
-        assert list(part.all_places()) == [
-            pl for pl in full.all_places() if pl.degree <= list_to]
+    F = model.field
+    table = enumerate_places(model, depth)
+    # only the degrees the strata read are listed up front
+    strata_depth = min(depth, max(2 * model.genus - 2, 1))
+    assert sorted(table.by_degree) == list(range(1, strata_depth + 1))
+    backwards = enumerate_places(model, depth)
+    for d in range(depth, 0, -1):
+        backwards.places(d)
+    for d in range(1, depth + 1):
+        places = table.places(d)
+        assert places is table.places(d)
+        assert places == backwards.places(d)
+        assert len(places) == table.count(d)
+        for place in places:
+            assert place.degree == d
+            if place.kind == "affine":
+                probe = fp.add(F, fp.mul(F, place.v, place.v),
+                               fp.sub(F, fp.mul(F, place.v, model.h), model.f))
+                assert not fp.mod(F, probe, place.u)
 
 
-def test_places_refuses_degrees_beyond_the_listed_depth(worked_elliptic):
-    table = enumerate_places(worked_elliptic, 4, list_to=2)
-    assert table.places(2)
-    with pytest.raises(ValueError):
-        table.places(3)
-    with pytest.raises(ValueError):
-        table.count(5)
-    for list_to in (0, 5):
+def test_places_refuses_degrees_beyond_the_table_depth(worked_elliptic):
+    table = enumerate_places(worked_elliptic, 4)
+    assert table.places(4)
+    for degree in (0, 5):
         with pytest.raises(ValueError):
-            enumerate_places(worked_elliptic, 4, list_to=list_to)
+            table.places(degree)
+        with pytest.raises(ValueError):
+            table.count(degree)
 
 
 def test_square_class_disagreement_is_reported(monkeypatch):
@@ -218,8 +223,8 @@ def test_square_class_disagreement_is_reported(monkeypatch):
     # every fiber called split: the inert fiber over x - 1 has no root
     monkeypatch.setattr(fp, "quadratic_character", lambda F, a, u: 1 if a else 0)
     with pytest.raises(ConsistencyError):
-        enumerate_places(odd, 2)
+        enumerate_places(odd, 1)
     even = build("p=2; f=x^3+0*x+1; h=1")
     monkeypatch.setattr(fp, "absolute_trace", lambda F, a, u: 0)
     with pytest.raises(ConsistencyError):
-        enumerate_places(even, 2)
+        enumerate_places(even, 1)

@@ -238,19 +238,11 @@ def test_dual_class_and_section_counts():
     assert others  # 10 classes, only 4 effective degree-1 divisors
 
 
-def test_effective_divisors_refuse_degrees_beyond_the_listed_depth():
+def test_effective_divisors_refuse_degrees_beyond_the_table_depth():
     model = build("p=3; f=x^5+1")
-    table = enumerate_places(model, 4, list_to=2)
+    table = enumerate_places(model, 2)
     assert len(list(effective_divisors(table, 2))) == effective_divisor_count(table, 2)
     with pytest.raises(ValueError):
-        effective_divisors(table, 3)
-
-
-def test_strata_refuse_a_table_listed_below_2g_minus_2():
-    model = build("p=3; f=x^5+1")
-    table = enumerate_places(model, 4, list_to=1)
+        list(effective_divisors(table, 3))
     with pytest.raises(ValueError):
-        strata_table(model, table, 10)
-    listed = enumerate_places(model, 4, list_to=2)
-    assert strata_table(model, listed, 10) == strata_table(
-        model, enumerate_places(model, 4), 10)
+        strata_table(model, enumerate_places(model, 1), 10)
