@@ -40,28 +40,15 @@ def field_embedding(src: FiniteField, dst: FiniteField):
     key = (dst.p, dst.degree, dst.modulus)
     table = src._embeddings.get(key)
     if table is None:
-        root = None
-        for cand in range(dst.order):
-            acc = 0
-            for c in reversed(src.modulus):
-                acc = dst.add(dst.mul(acc, cand), c)
-            if acc == 0:
-                root = cand
-                break
+        # The digits of src.modulus and of src.coeff_vector(a) are prime
+        # field elements, which dst encodes as the same ints 0..p-1.
+        root = next((cand for cand in range(dst.order)
+                     if fp.evaluate(dst, src.modulus, cand) == 0), None)
         if root is None:
             raise ConsistencyError(
                 f"modulus of {src!r} has no root in {dst!r}")
-        powers = [1]
-        for _ in range(src.degree - 1):
-            powers.append(dst.mul(powers[-1], root))
-        table = []
-        for a in range(src.order):
-            digits = src.coeff_vector(a)
-            img = 0
-            for d, r in zip(digits, powers):
-                img = dst.add(img, dst.mul(d, r))
-            table.append(img)
-        table = tuple(table)
+        table = tuple(fp.evaluate(dst, src.coeff_vector(a), root)
+                      for a in range(src.order))
         src._embeddings[key] = table
     return table.__getitem__
 
@@ -77,16 +64,18 @@ class HyperellipticModel:
         return (f"HyperellipticModel(genus {self.genus} over {self.field!r})")
 
 
-def validate_model(field: FiniteField, f, h=(), *,
-                   capacity: int = DEFAULT_CAPACITY) -> HyperellipticModel:
+def validate_model(field: FiniteField, f, h=()) -> HyperellipticModel:
     """Check the odd-degree shape and that the affine part is nonsingular.
 
     Characteristic != 2: the substitution z = 2y + h(x) turns the model into
     z^2 = 4f + h^2, so nonsingularity is exactly squarefreeness of 4f + h^2,
     certified by a gcd with the derivative.  Characteristic 2 with h = 0 is
-    always singular and is rejected outright; otherwise any singular point
-    sits over a root of h, so the search only needs the extensions where a
-    root of h can live (degree <= deg h <= g).
+    always singular and is rejected outright.  Otherwise the y-partial h
+    vanishes only over a root x of h, where the one point is
+    (x, sqrt f(x)); the x-partial h' y + f' vanishes there exactly when
+    h'(x)^2 f(x) = f'(x)^2, squaring being injective.  So the model is
+    singular exactly when h and f'^2 + h'^2 f share a root, certified by
+    one gcd.
     """
     f = fp.trim(f)
     h = fp.trim(h)
@@ -105,31 +94,22 @@ def validate_model(field: FiniteField, f, h=(), *,
         if four == 0:
             raise ModelShapeError("characteristic 2 must use the p == 2 path")
         completed = fp.add(field, fp.scale(field, four, f), fp.mul(field, h, h))
-        g = fp.gcd(field, completed, fp.derivative(field, completed))
-        if fp.deg(g) != 0:
-            raise SingularCurveError(
-                "affine singular locus over the x-roots of "
-                f"{format_fq_poly(g)}: gcd(4f+h^2, (4f+h^2)') is not constant")
+        pair = (completed, fp.derivative(field, completed))
+        named = "gcd(4f+h^2, (4f+h^2)')"
     else:
         if not h:
             raise SingularCurveError(
                 "h = 0 in characteristic 2 always gives a singular model")
         hp = fp.derivative(field, h)
         fprime = fp.derivative(field, f)
-        for m in range(1, max(fp.deg(h), 1) + 1):
-            ext = extension_field(p, field.degree * m, capacity=capacity)
-            emb = field_embedding(field, ext)
-            h_e = fp.map_coeffs(emb, h)
-            f_e = fp.map_coeffs(emb, f)
-            hp_e = fp.map_coeffs(emb, hp)
-            fp_e = fp.map_coeffs(emb, fprime)
-            for x in range(ext.order):
-                if fp.evaluate(ext, h_e, x) != 0:
-                    continue
-                y = ext.sqrt(fp.evaluate(ext, f_e, x))
-                if ext.mul(fp.evaluate(ext, hp_e, x), y) == fp.evaluate(ext, fp_e, x):
-                    raise SingularCurveError(
-                        f"singular point at x={x}, y={y} over {ext!r}")
+        pair = (h, fp.add(field, fp.mul(field, fprime, fprime),
+                          fp.mul(field, fp.mul(field, hp, hp), f)))
+        named = "gcd(h, f'^2 + h'^2 f)"
+    g = fp.gcd(field, *pair)
+    if fp.deg(g) != 0:
+        raise SingularCurveError(
+            "affine singular locus over the x-roots of "
+            f"{format_fq_poly(g)}: {named} is not constant")
     return HyperellipticModel(field=field, f=f, h=h, genus=genus)
 
 
@@ -144,7 +124,7 @@ def base_change(model: HyperellipticModel, m: int, *,
     ext = extension_field(src.p, src.degree * m, capacity=capacity)
     emb = field_embedding(src, ext)
     return validate_model(ext, fp.map_coeffs(emb, model.f),
-                          fp.map_coeffs(emb, model.h), capacity=capacity)
+                          fp.map_coeffs(emb, model.h))
 
 
 def count_points(model: HyperellipticModel, m: int = 1, *,

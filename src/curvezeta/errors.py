@@ -29,7 +29,8 @@ class ModelShapeError(CurveZetaError):
 
 
 class SingularCurveError(CurveZetaError):
-    """The plane model has an affine singular point (witness in message)."""
+    """The plane model has an affine singular point; the message names the
+    polynomial whose x-roots carry the singular locus."""
 
 
 class InconsistentCountsError(CurveZetaError):

@@ -26,10 +26,6 @@ def deg(a) -> int:
     return len(a) - 1
 
 
-def constant(c: int) -> tuple:
-    return (c,) if c else ()
-
-
 def add(F, a, b):
     n = max(len(a), len(b))
     return trim(tuple(F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)

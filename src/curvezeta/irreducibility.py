@@ -3,8 +3,9 @@
 Primary route: the dimension of the solution space of the partial
 differential equation g_u * P - g * P_u = h_T * P - h * P_T, with the Gao
 degree bounds on g and h, equals the number of irreducible factors of a
-squarefree P over the algebraic closure.  Everything is exact rational
-linear algebra.
+squarefree P over the algebraic closure.  The system is built from the
+coefficients of P with denominators cleared, so its rank is taken exactly
+over the integers by fraction-free elimination.
 
 Squarefreeness, which that count needs, is decided with univariate gcds
 only.  Let C(u) be the u-content of P, m = deg_T P and n = deg_u P.  A
@@ -27,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import OracleUnsupportedError
-from .ratpoly import (BiPoly, RationalPoly, bivariate_divmod, format_poly,
-                      poly_gcd)
+from .ratpoly import BiPoly, RationalPoly, format_poly, poly_gcd
 from .zetatwo import ClauseResult
 
 
@@ -75,50 +76,56 @@ def absolute_factor_count(P: BiPoly) -> int:
     m, n = P.t_degree, P.u_degree
     if m < 1 or n < 1:
         raise ValueError("factor counting needs both variables present")
-    p_u = P.derivative_u()
-    p_t = P.derivative_t()
-    t = BiPoly.t()
-    u = BiPoly.u()
+    # Clearing denominators leaves the factors, hence the count, unchanged.
+    terms = P.terms()
+    scale = lcm(*(c.denominator for c in terms.values()))
+    scaled = [(a, b, c.numerator * (scale // c.denominator))
+              for (a, b), c in terms.items()]
 
+    # Column (i, j) of the first block is j T^i u^(j-1) P - T^i u^j P_u,
+    # of the second T^i u^j P_T - i T^(i-1) u^j P.  Within one column the
+    # terms of P land on distinct monomials, so no entry ever cancels.
     columns = []
     for i in range(m):
         for j in range(n + 1):
-            mono = t ** i * u ** j
-            deriv = (BiPoly.const(j) * t ** i * u ** (j - 1)
-                     if j else BiPoly.from_terms({}))
-            columns.append(deriv * P - mono * p_u)
+            columns.append({(a + i, b + j - 1): (j - b) * c
+                            for a, b, c in scaled if j != b})
     for i in range(m + 1):
         for j in range(n):
-            mono = t ** i * u ** j
-            deriv = (BiPoly.const(i) * t ** (i - 1) * u ** j
-                     if i else BiPoly.from_terms({}))
-            columns.append(-(deriv * P) + mono * p_t)
+            columns.append({(a + i - 1, b + j): (a - i) * c
+                            for a, b, c in scaled if a != i})
 
     row_index: dict = {}
     rows: list = []
     width = len(columns)
-    for k, contrib in enumerate(columns):
-        for key, val in contrib.terms().items():
+    for k, column in enumerate(columns):
+        for key, val in column.items():
             if key not in row_index:
                 row_index[key] = len(rows)
-                rows.append([Fraction(0)] * width)
+                rows.append([0] * width)
             rows[row_index[key]][k] = val
     return width - _rank(rows)
 
 
 def _rank(rows: list) -> int:
-    mat = [row[:] for row in rows]
+    """Rank over Q of an integer matrix, by fraction-free (Bareiss)
+    elimination: after k pivots every entry below them is a (k+1)-minor,
+    so each update divides exactly by the previous pivot (Sylvester's
+    identity) and the entries stay integers of minor size."""
+    mat = list(rows)
     rank = 0
+    prev = 1
     for col in range(len(mat[0]) if mat else 0):
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
+        top = mat[rank]
+        lead = top[col]
         for i in range(rank + 1, len(mat)):
-            if mat[i][col]:
-                factor = mat[i][col] / lead
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+            c = mat[i][col]
+            mat[i] = [(lead * a - c * b) // prev for a, b in zip(mat[i], top)]
+        prev = lead
         rank += 1
     return rank
 
@@ -236,9 +243,8 @@ def analyze_irreducibility(P: BiPoly, genus: int,
             "absolutely irreducible", passed,
             f"squarefree: {squarefree}, absolute factor count: {count}"))
     else:
-        _, remainder = bivariate_divmod(
-            P, BiPoly.const(1) - BiPoly.t())
-        divisible = remainder.is_zero()
+        # P = (1 - T) Q + P(1, u), and P(1, u) = rev(1, u) = at_one.
+        divisible = at_one.is_zero()
         clauses.append(ClauseResult(
             "factor 1 - T at zero class mass", divisible,
             "P(1, u) vanishes identically" if divisible

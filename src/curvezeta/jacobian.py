@@ -67,19 +67,6 @@ def add(model: HyperellipticModel, rep1, rep2):
     return _reduce(model, fp.monic(F, u_comp), v_comp)
 
 
-def scalar(model: HyperellipticModel, rep, n: int):
-    if n < 0:
-        return scalar(model, negate(model, rep), -n)
-    acc = IDENTITY
-    base = rep
-    while n:
-        if n & 1:
-            acc = add(model, acc, base)
-        base = add(model, base, base)
-        n >>= 1
-    return acc
-
-
 def from_place(model: HyperellipticModel, place: Place):
     """The class [P - deg(P) * infinity] of one place, reduced.
 

@@ -143,12 +143,6 @@ class RationalPoly:
         lead = self.coeffs[-1]
         return RationalPoly(tuple(c / lead for c in self.coeffs))
 
-    def shift(self, n: int) -> "RationalPoly":
-        """Multiply by x^n."""
-        if not self.coeffs:
-            return self
-        return RationalPoly((Fraction(0),) * n + self.coeffs)
-
     def __str__(self):
         return format_poly(self.coeffs, "T")
 
@@ -327,14 +321,6 @@ class BiPoly:
             out = out + RationalPoly(row) * power
             power *= v
         return out
-
-    def derivative_t(self) -> "BiPoly":
-        return BiPoly(tuple(tuple(i * c for c in self.rows[i])
-                            for i in range(1, len(self.rows))))
-
-    def derivative_u(self) -> "BiPoly":
-        return BiPoly(tuple(tuple(j * row[j] for j in range(1, len(row)))
-                            for row in self.rows))
 
     def __str__(self):
         if not self.rows:

@@ -62,7 +62,7 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
 
     t0 = time.perf_counter()
     field = extension_field(spec.p, spec.k, capacity=capacity)
-    model = curvemod.validate_model(field, spec.f, spec.h, capacity=capacity)
+    model = curvemod.validate_model(field, spec.f, spec.h)
     base_model = model
     if base_change > 1:
         model = curvemod.base_change(model, base_change, capacity=capacity)

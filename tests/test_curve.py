@@ -1,5 +1,7 @@
 """Curve models, point counts and place enumeration against brute force."""
 
+import random
+
 import pytest
 
 from curvezeta import (base_change, count_points, enumerate_places,
@@ -166,6 +168,48 @@ def test_char2_validation_searches_extensions():
         build("p=2; f=x^5+x^3; h=x")
     # same h but f'(0) = 1 keeps the model smooth
     build("p=2; f=x^5+x^3+x; h=x")
+
+
+def singular_by_search(field, f, h) -> bool:
+    """Characteristic 2, h != 0: look for a singular point over every root
+    x of h, in each extension where such a root can live, by testing
+    h'(x) sqrt(f(x)) = f'(x)."""
+    import curvezeta.fqpoly as fp
+    hp, fprime = fp.derivative(field, h), fp.derivative(field, f)
+    for m in range(1, max(fp.deg(h), 1) + 1):
+        ext = extension_field(2, field.degree * m)
+        emb = field_embedding(field, ext)
+        h_e, f_e, hp_e, fp_e = (fp.map_coeffs(emb, a) for a in (h, f, hp, fprime))
+        for x in range(ext.order):
+            if fp.evaluate(ext, h_e, x) != 0:
+                continue
+            y = ext.sqrt(fp.evaluate(ext, f_e, x))
+            if ext.mul(fp.evaluate(ext, hp_e, x), y) == fp.evaluate(ext, fp_e, x):
+                return True
+    return False
+
+
+def test_char2_gcd_test_matches_the_point_search():
+    import curvezeta.fqpoly as fp
+    rng = random.Random(20261018)
+    singular = 0
+    for k in (1, 2, 3):
+        field = extension_field(2, k)
+        for _ in range(400):
+            g = rng.randint(1, 3)
+            f = tuple(rng.randrange(field.order) for _ in range(2 * g + 1)) + (1,)
+            h = tuple(rng.randrange(field.order)
+                      for _ in range(rng.randint(1, g))) + (
+                rng.randrange(1, field.order),)
+            expected = singular_by_search(field, f, h)
+            singular += expected
+            try:
+                validate_model(field, f, h)
+            except SingularCurveError:
+                assert expected, (k, f, h)
+            else:
+                assert not expected, (k, f, h)
+    assert 200 <= singular <= 1000  # both answers are well represented
 
 
 # (spec, depth): odd and even characteristic, k = 1 and k > 1, and h with

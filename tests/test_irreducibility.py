@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvezeta import (BiPoly, absolute_factor_count, analyze_irreducibility,
                        is_squarefree, reference_factor_count, reversal)
 from curvezeta.errors import OracleUnsupportedError
-from curvezeta.irreducibility import NotSquarefreeError
+from curvezeta.irreducibility import NotSquarefreeError, _rank
 from conftest import FACTOR_POOL, random_products
 
 T, U = BiPoly.t(), BiPoly.u()
@@ -131,6 +132,55 @@ def test_random_products_three_way_agreement():
         assert is_squarefree(product)
         assert absolute_factor_count(product) == truth
         assert reference_factor_count(product) == truth
+
+
+def test_rational_coefficients_keep_the_count():
+    # denominators are cleared before the rank is taken
+    halves = Fraction(1, 2) * T ** 2 - Fraction(1, 3) * U ** 2  # 2 factors
+    for product, truth in random_products(seed=20261019, how_many=10):
+        assert absolute_factor_count(Fraction(1, 6) * product) == truth
+        assert absolute_factor_count(product * halves) == truth + 2
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Q with Fraction entries."""
+    mat = [[Fraction(a) for a in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        lead = mat[rank][col]
+        for i in range(rank + 1, len(mat)):
+            if mat[i][col]:
+                factor = mat[i][col] / lead
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Integer matrices up to 10 x 10 of rank at most the inner dimension of
+    a random product, with some columns zeroed."""
+    rows, cols, inner = (draw(st.integers(1, 10)) for _ in range(3))
+    entries = st.integers(-9, 9)
+    left = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                         min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                          min_size=inner, max_size=inner))
+    zeroed = draw(st.sets(st.integers(0, cols - 1)))
+    return [[0 if j in zeroed else sum(a * right[k][j] for k, a in enumerate(row))
+             for j in range(cols)] for row in left]
+
+
+@settings(max_examples=200, deadline=None)
+@given(deficient_matrices())
+def test_rank_matches_fraction_elimination(rows):
+    before = [row[:] for row in rows]
+    assert _rank(rows) == fraction_rank(rows)
+    assert rows == before
 
 
 def test_analyze_genus_zero():

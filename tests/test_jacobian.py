@@ -12,8 +12,7 @@ from curvezeta import (IDENTITY, Place, class_number, count_points,
                        strata_table, validate_model)
 from curvezeta.errors import (CapacityError, ConsistencyError,
                               InvalidMeasureError, StratificationError)
-from curvezeta.jacobian import (StratumTable, add, negate, scalar,
-                                section_count_to_h0)
+from curvezeta.jacobian import StratumTable, add, negate, section_count_to_h0
 
 GROUP_LAW_CURVES = [
     "p=3; f=x^3+x",
@@ -28,6 +27,20 @@ GROUP_LAW_CURVES = [
 def build(text):
     spec = parse_curve_spec(text)
     return validate_model(extension_field(spec.p, spec.k), spec.f, spec.h)
+
+
+def scalar(model, rep, n: int):
+    """n * rep by double-and-add."""
+    if n < 0:
+        return scalar(model, negate(model, rep), -n)
+    acc = IDENTITY
+    base = rep
+    while n:
+        if n & 1:
+            acc = add(model, acc, base)
+        base = add(model, base, base)
+        n >>= 1
+    return acc
 
 
 def group_order(model):

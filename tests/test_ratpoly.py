@@ -59,7 +59,6 @@ def test_evaluate_and_derivative():
     p = RationalPoly((1, -2, 3))  # 3x^2 - 2x + 1
     assert p.evaluate(2) == Fraction(9)
     assert p.derivative() == RationalPoly((-2, 6))
-    assert p.shift(2) == RationalPoly((0, 0, 1, -2, 3))
 
 
 def bipolys():
@@ -92,13 +91,6 @@ def test_coefficient_views_agree(a, i, j):
 def test_evaluation_views_agree(a, x):
     # substituting u then T must equal substituting T then u
     assert a.eval_u(x).evaluate(x) == a.eval_t(x).evaluate(x)
-
-
-def test_derivatives():
-    t, u = BiPoly.t(), BiPoly.u()
-    p = t ** 2 * u + 3 * u ** 2
-    assert p.derivative_t() == 2 * t * u
-    assert p.derivative_u() == t ** 2 + 6 * u
 
 
 @given(bipolys(), bipolys())
