@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from . import fqpoly as fp
+from . import zetaone
 from .errors import ConsistencyError, ModelShapeError, SingularCurveError
 from .parsing import format_fq_poly
 from .finitefield import DEFAULT_CAPACITY, FiniteField, extension_field
@@ -184,6 +185,9 @@ class Place:
 class PlaceTable:
     """Place counts N_1 .. N_max_degree and point counts a_1 .. a_max_degree.
 
+    a_m is counted by exhaustion for m <= max(g, 1) and read from the L(T)
+    those counts fix for deeper m (see enumerate_places).
+
     The places of a degree are listed the first time that degree is asked
     for, and kept: listing needs a square root (Tonelli) or an
     Artin-Schreier solution per split fiber, while the strata read places
@@ -308,14 +312,18 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
     listed when first asked for.
 
     N_d comes from the irreducible sieve plus one square-class test per
-    fiber (_fiber_class); no square root is taken here.  The counts are
-    checked against independent point counts before the table is returned:
-    sum over d | m of d * N_d must equal |X(F_(q^m))|, counted by exhaustion
-    over x, for every m <= max_degree.
+    fiber (_fiber_class); no square root is taken here.  Before the table
+    is returned, sum over d | m of d * N_d is compared with a_m =
+    |X(F_(q^m))| for every m <= max_degree.  For m <= max(g, 1) the a_m are
+    counted by exhaustion over x (count_points); they fix L(T), and every
+    deeper a_m is read from that L.  So each degree is compared with a
+    value the tally did not produce: shallow degrees with exhaustion, deep
+    degrees with the L that exhaustion determines.
     """
     if max_degree < 1:
         raise ValueError("place table depth must be >= 1")
     F = model.field
+    g = model.genus
     disc = _discriminant(model)
     tally = [0] * (max_degree + 1)
     tally[1] = 1  # the infinite place
@@ -326,20 +334,27 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
                 tally[d] += 1 + split
             elif 2 * d <= max_degree:
                 tally[2 * d] += 1
-    counts = tuple(count_points(model, m, capacity=capacity)
-                   for m in range(1, max_degree + 1))
+    exhausted = min(max_degree, max(g, 1))
+    counts = [count_points(model, m, capacity=capacity)
+              for m in range(1, exhausted + 1)]
+    if max_degree > exhausted:
+        lpoly = zetaone.lpolynomial_from_counts(counts, F.order, g)
+        counts += zetaone.point_counts_from_lpolynomial(
+            lpoly, max_degree)[exhausted:]
     for m in range(1, max_degree + 1):
         weighted = sum(d * tally[d] for d in range(1, m + 1) if m % d == 0)
         if weighted != counts[m - 1]:
+            source = "exhaustion" if m <= exhausted else "L(T)"
             raise ConsistencyError(
                 f"place table disagrees with point counts at degree {m}: "
-                f"sum d*N_d = {weighted} but |X(F_q^{m})| = {counts[m - 1]}")
+                f"sum d*N_d = {weighted} but |X(F_q^{m})| = {counts[m - 1]} "
+                f"(from {source})")
     table = PlaceTable(model=model, max_degree=max_degree,
-                       place_counts=tuple(tally[1:]), point_counts=counts,
-                       capacity=capacity)
+                       place_counts=tuple(tally[1:]),
+                       point_counts=tuple(counts), capacity=capacity)
     # List the degrees the strata read, and degree 1 at every genus, so
     # that each table runs the root extraction against the square-class
     # test at least once.
-    for d in range(1, min(max_degree, max(2 * model.genus - 2, 1)) + 1):
+    for d in range(1, min(max_degree, max(2 * g - 2, 1)) + 1):
         table.places(d)
     return table

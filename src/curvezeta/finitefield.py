@@ -204,15 +204,6 @@ class FiniteField:
             return pow(a, e % n if n else 0, self.p)
         return self._exp[(self._log[a] * e) % n]
 
-    def sqrt(self, a: int) -> int | None:
-        """A square root of a, or None when a is a non-residue (odd q)."""
-        if a == 0:
-            return 0
-        if self.p == 2:
-            # Squaring is a bijection; invert it by q/2 more squarings.
-            return self.pow(a, self.order // 2)
-        return tonelli_sqrt(self, a)
-
     def absolute_trace(self, a: int) -> int:
         """Trace down to F_2 (characteristic 2 only), as the int 0 or 1."""
         if self.p != 2:

@@ -22,6 +22,16 @@ rational factor by a closed form (univariate, homogeneous, linear or
 quadratic in one variable).  Shapes outside that list raise
 OracleUnsupportedError rather than guess.  sympy is imported only when this
 route runs.
+
+A Q-irreducible P that is not homogeneous and has degree >= 3 in both
+variables fits no closed form, so the reference route refuses it before
+factoring when a certificate proves it irreducible over Q.  The
+certificate: the u-content of P is 1, and some P(T, c) has T-degree
+m = deg_T P and is irreducible mod a prime l that divides no denominator
+of P and not its leading coefficient.  Then P(T, c) is irreducible over Q
+(Gauss's lemma over the l-adic integers), and a factorization P = A B with
+A of T-degree 0 would put A in the u-content, while one with both factors
+of positive T-degree would survive in P(T, c), both keeping their degrees.
 """
 
 from __future__ import annotations
@@ -30,13 +40,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from . import fqpoly as fp
 from .errors import OracleUnsupportedError
+from .finitefield import extension_field, is_prime
 from .ratpoly import BiPoly, RationalPoly, format_poly, poly_gcd
 from .zetatwo import ClauseResult
 
 
+# The most irreducibility tests mod l that certify_irreducible runs for one
+# polynomial before it gives up and the reference route factors with sympy.
+CERTIFICATE_BUDGET = 128
+
+
 class NotSquarefreeError(ValueError):
     """absolute_factor_count was given a polynomial with a repeated factor."""
+
+
+def _u_content(P: BiPoly) -> RationalPoly:
+    content = RationalPoly()
+    for i in range(P.t_degree + 1):
+        content = poly_gcd(content, P.coeff_of_t(i))
+    return content
 
 
 def is_squarefree(P: BiPoly) -> bool:
@@ -49,9 +73,7 @@ def is_squarefree(P: BiPoly) -> bool:
     if P.is_zero():
         return False
     m, n = P.t_degree, P.u_degree
-    content = RationalPoly()
-    for i in range(m + 1):
-        content = poly_gcd(content, P.coeff_of_t(i))
+    content = _u_content(P)
     if poly_gcd(content, content.derivative()).degree > 0:
         return False
     if m == 0:
@@ -172,9 +194,55 @@ def _factor_count_closed_form(fac, T, u) -> int:
         f"no closed form for a factor of bidegree ({d_t}, {d_u})")
 
 
+def certify_irreducible(P: BiPoly, budget: int) -> bool:
+    """True when P is proved irreducible over Q by the certificate in the
+    module docstring; False when no certificate turns up within budget
+    irreducibility tests, which decides nothing.
+
+    The primes l are tried in increasing order, and for each the values
+    c = 0 .. l - 1, which give distinct reductions mod l.
+    """
+    m = P.t_degree
+    if m < 1 or _u_content(P).degree > 0:
+        return False
+    terms = P.terms()
+    den = lcm(*(c.denominator for c in terms.values()))
+    tries = 0
+    l = 1
+    while tries < budget:
+        l += 1
+        if not is_prime(l) or den % l == 0:
+            continue
+        F = extension_field(l)
+        reduced = [(a, b, c.numerator * pow(c.denominator, -1, l) % l)
+                   for (a, b), c in terms.items()]
+        for c in range(l):
+            special = [0] * (m + 1)
+            for a, b, coeff in reduced:
+                special[a] = (special[a] + coeff * pow(c, b, l)) % l
+            if not special[m]:
+                continue
+            if fp.is_irreducible(F, fp.monic(F, special)):
+                return True
+            tries += 1
+            if tries == budget:
+                break
+    return False
+
+
 def reference_factor_count(P: BiPoly) -> int:
     """Independent count of absolute irreducible factors: rational
-    factorization plus per-factor closed forms."""
+    factorization plus per-factor closed forms.
+
+    A polynomial of degree >= 3 in both variables that is not homogeneous
+    and is certified irreducible over Q is refused at once, without sympy.
+    """
+    d_t, d_u = P.t_degree, P.u_degree
+    if (min(d_t, d_u) >= 3 and len({a + b for a, b in P.terms()}) > 1
+            and certify_irreducible(P, CERTIFICATE_BUDGET)):
+        raise OracleUnsupportedError(
+            f"no closed form for a Q-irreducible polynomial of bidegree "
+            f"({d_t}, {d_u})")
     import sympy
     T, u = sympy.symbols("T u")
     _, factors = sympy.factor_list(_sympy_expr(P, T, u))

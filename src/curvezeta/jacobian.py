@@ -128,22 +128,24 @@ def enumerate_jacobian(model: HyperellipticModel, *,
 
 def effective_divisors(place_table: PlaceTable, n: int):
     """Yield every effective divisor of degree n as a tuple of
-    (place, multiplicity) pairs, places in table order."""
+    (place, multiplicity) pairs, places in table order.
+
+    Each level of the recursion picks one place of the support, so its
+    depth is at most n, however many places the table holds.
+    """
     places = [p for d in range(1, n + 1) for p in place_table.places(d)]
 
-    def rec(idx, remaining):
+    def rec(start, remaining):
         if remaining == 0:
             yield ()
             return
-        while idx < len(places) and places[idx].degree > remaining:
-            idx += 1
-        if idx >= len(places):
-            return
-        place = places[idx]
-        top = remaining // place.degree
-        for mult in range(top, -1, -1):
-            for rest in rec(idx + 1, remaining - mult * place.degree):
-                yield ((place, mult),) + rest if mult else rest
+        for idx in range(start, len(places)):
+            place = places[idx]
+            if place.degree > remaining:
+                break  # places are listed by increasing degree
+            for mult in range(remaining // place.degree, 0, -1):
+                for rest in rec(idx + 1, remaining - mult * place.degree):
+                    yield ((place, mult),) + rest
 
     yield from rec(0, n)
 

@@ -77,20 +77,22 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
     places = curvemod.enumerate_places(model, depth, capacity=capacity)
     stage("places", t0)
 
-    # a_1..a_depth come with the place table; only a short series order
-    # leaves a_m for m in (depth, 2g] to count here.
+    # The place table carries a_1..a_depth: a_1..a_g counted by exhaustion,
+    # deeper a_m read from the L(T) they fix.  depth >= g, so L comes from
+    # the table; a short series order leaves a_m for m in (depth, 2g] to
+    # read from the same L here.
     t0 = time.perf_counter()
-    counts = list(places.point_counts[:2 * g]) + [
-        curvemod.count_points(model, m, capacity=capacity)
-        for m in range(depth + 1, 2 * g + 1)]
-    lpoly = zetaone.lpolynomial_from_counts(counts, q, g)
+    lpoly = zetaone.lpolynomial_from_counts(places.point_counts[:g], q, g)
+    counts = list(places.point_counts[:2 * g])
+    counts += zetaone.point_counts_from_lpolynomial(lpoly, 2 * g)[len(counts):]
     pic0 = zetaone.class_number(lpoly)
     stage("point_counts", t0)
 
     structure: list = []
     if base_change > 1:
+        # L reads a_1..a_g only.
         base_counts = [curvemod.count_points(base_model, m, capacity=capacity)
-                       for m in range(1, 2 * g + 1)]
+                       for m in range(1, g + 1)]
         base_lpoly = zetaone.lpolynomial_from_counts(
             base_counts, base_model.field.order, g)
         lifted = zetaone.lifted_lpolynomial(base_lpoly, base_change)

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from curvezeta import BiPoly, extension_field, parse_curve_spec, validate_model
+from curvezeta.finitefield import tonelli_sqrt
 
 
 def brute_affine_count(p, f, h):
@@ -37,6 +38,17 @@ def brute_point_count(p, f, h=(0,)):
     """Projective count: affine solutions plus the one point at infinity of
     an odd-degree model."""
     return brute_affine_count(p, f, h) + 1
+
+
+def field_sqrt(F, a):
+    """A square root of a in the finite field F, or None when a is a
+    non-residue (odd q)."""
+    if a == 0:
+        return 0
+    if F.p == 2:
+        # Squaring is a bijection; invert it by q/2 more squarings.
+        return F.pow(a, F.order // 2)
+    return tonelli_sqrt(F, a)
 
 
 def mobius(n):

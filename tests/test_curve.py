@@ -9,7 +9,7 @@ from curvezeta import (base_change, count_points, enumerate_places,
                        validate_model)
 from curvezeta.errors import (ConsistencyError, ModelShapeError,
                               SingularCurveError)
-from conftest import brute_point_count, corpus_specs
+from conftest import brute_point_count, corpus_specs, field_sqrt
 
 
 def build(spec_text):
@@ -95,14 +95,72 @@ def test_worked_example_degree_two_place_kinds(worked_elliptic):
     assert inert.degree == 2
 
 
-def test_place_degree_sum_rule(corpus):
-    # sum over d | m of d * N_d = |X(F_(q^m))| is checked inside
-    # enumerate_places; spot-check it from the outside on one curve
+def test_place_degree_sum_rule():
+    # enumerate_places compares degrees above the genus with the L-polynomial
+    # only, so check the tally and the table's counts against exhaustion
+    # from the outside, to the depth 2g+2 the pipeline uses, for odd q,
+    # even q and k = 2
+    for text in ("p=5; f=x^5+x+1", "p=2; f=x^7+x+1; h=x^3+x+1",
+                 "p=3; k=2; f=x^3+x"):
+        model = build(text)
+        depth = 2 * model.genus + 2
+        table = enumerate_places(model, depth)
+        for m in range(1, depth + 1):
+            exhaustive = count_points(model, m)
+            weighted = sum(d * table.count(d)
+                           for d in range(1, m + 1) if m % d == 0)
+            assert table.point_counts[m - 1] == weighted == exhaustive, (text, m)
+
+
+def test_deep_degrees_are_checked_against_the_l_polynomial(monkeypatch):
+    import curvezeta.curve as curvemod
     model = build("p=5; f=x^5+x+1")
-    table = enumerate_places(model, 4)
-    for m in range(1, 5):
-        weighted = sum(d * table.count(d) for d in range(1, m + 1) if m % d == 0)
-        assert weighted == count_points(model, m)
+    g = model.genus
+    real = curvemod._fiber_class
+    flipped = []
+
+    def flip_one(model, disc, u):
+        split = real(model, disc, u)
+        if len(u) - 1 == g + 1 and not flipped:
+            flipped.append(u)
+            return -1 if split >= 0 else 1
+        return split
+
+    monkeypatch.setattr(curvemod, "_fiber_class", flip_one)
+    with pytest.raises(ConsistencyError,
+                       match=rf"at degree {g + 1}: .*\(from L\(T\)\)"):
+        enumerate_places(model, 2 * g + 2)
+    assert flipped
+
+
+def test_exhaustion_up_to_the_genus_only(monkeypatch):
+    import curvezeta.curve as curvemod
+    from curvezeta import zetaone
+    model = build("p=3; f=x^7+x+1")
+    g = model.genus
+    real = curvemod.count_points
+    asked = []
+
+    def spy(model, m=1, **kwargs):
+        asked.append(m)
+        return real(model, m, **kwargs)
+
+    monkeypatch.setattr(curvemod, "count_points", spy)
+    deep = enumerate_places(model, 2 * g + 2)
+    assert asked == list(range(1, g + 1))
+    assert len(deep.point_counts) == 2 * g + 2
+
+    # a table shallower than the genus cannot fix L: every degree is
+    # counted by exhaustion, and no L is built
+    def no_l(*args):
+        raise AssertionError("L built for a table shallower than the genus")
+
+    monkeypatch.setattr(zetaone, "lpolynomial_from_counts", no_l)
+    monkeypatch.setattr(zetaone, "point_counts_from_lpolynomial", no_l)
+    asked.clear()
+    shallow = enumerate_places(model, g - 1)
+    assert asked == list(range(1, g))
+    assert shallow.point_counts == deep.point_counts[:g - 1]
 
 
 def test_place_table_is_sorted_and_consistent():
@@ -183,7 +241,7 @@ def singular_by_search(field, f, h) -> bool:
         for x in range(ext.order):
             if fp.evaluate(ext, h_e, x) != 0:
                 continue
-            y = ext.sqrt(fp.evaluate(ext, f_e, x))
+            y = field_sqrt(ext, fp.evaluate(ext, f_e, x))
             if ext.mul(fp.evaluate(ext, hp_e, x), y) == fp.evaluate(ext, fp_e, x):
                 return True
     return False

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from curvezeta import FiniteField, extension_field
 from curvezeta.errors import CapacityError, ModelShapeError
 from curvezeta.finitefield import tonelli_sqrt
+from conftest import field_sqrt
 
 
 @given(st.sampled_from([2, 3, 5, 7, 13]), st.data())
@@ -68,7 +69,7 @@ def test_sqrt_odd_characteristic(p, k):
     squares = {F.mul(a, a) for a in F.elements()}
     assert len(squares) == (F.order + 1) // 2
     for a in F.elements():
-        root = F.sqrt(a)
+        root = field_sqrt(F, a)
         if a in squares:
             assert root is not None and F.mul(root, root) == a
         else:
@@ -78,10 +79,10 @@ def test_sqrt_odd_characteristic(p, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sqrt_characteristic_two_is_bijective(k):
     F = extension_field(2, k)
-    roots = {F.sqrt(a) for a in F.elements()}
+    roots = {field_sqrt(F, a) for a in F.elements()}
     assert len(roots) == F.order
     for a in F.elements():
-        r = F.sqrt(a)
+        r = field_sqrt(F, a)
         assert F.mul(r, r) == a
 
 

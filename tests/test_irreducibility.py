@@ -2,6 +2,8 @@
 closed-form reference, on inputs whose true count is known by construction."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from curvezeta import (BiPoly, absolute_factor_count, analyze_irreducibility,
                        is_squarefree, reference_factor_count, reversal)
 from curvezeta.errors import OracleUnsupportedError
-from curvezeta.irreducibility import NotSquarefreeError, _rank
+from curvezeta import irreducibility
+from curvezeta.irreducibility import (NotSquarefreeError, _rank,
+                                      certify_irreducible)
 from conftest import FACTOR_POOL, random_products
 
 T, U = BiPoly.t(), BiPoly.u()
@@ -110,6 +114,39 @@ def test_reference_oracle_refuses_what_it_cannot_classify():
     # irreducible, inhomogeneous, cubic in both variables: no closed form
     with pytest.raises(OracleUnsupportedError):
         reference_factor_count(T ** 3 + U ** 3 + 1)
+
+
+def _rational_factor_multiplicities(poly):
+    """Multiplicities of the non-constant factors in sympy's factorization
+    over Q."""
+    import sympy
+    t, u = sympy.symbols("T u")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** i * u ** j
+               for (i, j), c in poly.terms().items())
+    _, factors = sympy.factor_list(expr)
+    return [mult for _, mult in factors]
+
+
+CERTIFICATE_POOL = [poly for poly, _, _ in FACTOR_POOL] + CONTENT_POOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(CERTIFICATE_POOL), min_size=1, max_size=3),
+       st.sampled_from([1, -2, Fraction(1, 6)]), st.integers(0, 80))
+def test_certificate_never_certifies_a_factored_polynomial(picks, scalar, budget):
+    product = BiPoly.const(scalar)
+    for poly in picks:
+        product = product * poly
+    if certify_irreducible(product, budget):
+        assert _rational_factor_multiplicities(product) == [1], product
+
+
+def test_certificate_finds_the_irreducible_pool_entries():
+    for poly, _, _ in FACTOR_POOL:
+        assert certify_irreducible(poly, irreducibility.CERTIFICATE_BUDGET), poly
+        assert not certify_irreducible(poly, 0)
+    for poly in CONTENT_POOL:  # no T: nothing to specialize
+        assert not certify_irreducible(poly, irreducibility.CERTIFICATE_BUDGET)
 
 
 def test_quadratic_discriminant_classification():
@@ -235,3 +272,44 @@ def test_analyze_zero_mass_without_the_factor():
     report = analyze_irreducibility(bad, 1, Fraction(0))
     by_name = {c.name: c for c in report.clauses}
     assert not by_name["factor 1 - T at zero class mass"].passed
+
+
+GENUS_3_SPEC = "p=2; f=x^7+x+1; h=x^3+x+1"
+
+
+def test_certified_numerators_skip_sympy():
+    # the genus-3 numerator is certified irreducible over Q, so the oracle
+    # refuses it before sympy is imported
+    code = ("import sys\n"
+            "from curvezeta import parse_curve_spec, run_curve_pipeline\n"
+            f"result = run_curve_pipeline(parse_curve_spec({GENUS_3_SPEC!r}))\n"
+            "assert result.passed\n"
+            "assert result.report['checks']['irreducibility']"
+            "['reference_factor_count'] is None\n"
+            "assert 'sympy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_certificate_leaves_the_report_unchanged(monkeypatch):
+    from curvezeta import canonical_json, parse_curve_spec, run_curve_pipeline
+
+    def report():
+        return canonical_json(run_curve_pipeline(
+            parse_curve_spec(GENUS_3_SPEC), with_timing=False).report)
+
+    classified = []
+    closed_form = irreducibility._factor_count_closed_form
+
+    def spy(fac, T, u):
+        classified.append(fac)
+        return closed_form(fac, T, u)
+
+    monkeypatch.setattr(irreducibility, "_factor_count_closed_form", spy)
+    certified = report()
+    assert classified == []
+    monkeypatch.setattr(irreducibility, "CERTIFICATE_BUDGET", 0)
+    assert report() == certified
+    assert len(classified) == 1  # sympy factored P and found no closed form
+

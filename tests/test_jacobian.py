@@ -1,6 +1,7 @@
 """Divisor class arithmetic and the section strata."""
 
 import random
+import sys
 
 import pytest
 
@@ -259,3 +260,15 @@ def test_effective_divisors_refuse_degrees_beyond_the_table_depth():
         list(effective_divisors(table, 3))
     with pytest.raises(ValueError):
         strata_table(model, enumerate_places(model, 1), 10)
+
+
+def test_effective_divisors_recurse_per_place_of_the_support():
+    # over F_2003 the table has more places of degree 1 than Python's
+    # recursion limit; the recursion must go no deeper than the degree
+    model = validate_model(extension_field(2003), (0, 1, 0, 1))
+    table = enumerate_places(model, 1)
+    assert table.count(1) > sys.getrecursionlimit()
+    divisors = list(effective_divisors(table, 1))
+    assert len(divisors) == table.count(1)
+    assert [div[0][0] for div in divisors] == list(table.places(1))
+

@@ -152,3 +152,24 @@ def test_render_text_for_tables():
     text = render_text(run_table_pipeline(table).report)
     assert "measure table, genus 1" in text
     assert "pic0 = 0" in text
+
+
+def test_base_change_counts_the_base_model_up_to_the_genus(monkeypatch):
+    import curvezeta.curve as curvemod
+    real = curvemod.count_points
+    asked = []
+
+    def spy(model, m=1, **kwargs):
+        asked.append((model.field.order, m))
+        return real(model, m, **kwargs)
+
+    monkeypatch.setattr(curvemod, "count_points", spy)
+    result = run("p=2; f=x^5+x^3+x; h=x", base_change=2, with_timing=False)
+    assert result.passed
+    # genus 2: a_1, a_2 over F_4 for the place table, and over F_2 for
+    # the base model, which is all its L-polynomial reads
+    assert asked == [(4, 1), (4, 2), (2, 1), (2, 2)]
+    clause = next(c for c in result.report["checks"]["structure"]
+                  if c["name"] == "base change consistency")
+    assert clause["passed"]
+
