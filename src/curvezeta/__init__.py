@@ -21,8 +21,7 @@ from .irreducibility import (IrreducibilityReport, absolute_factor_count,
                              analyze_irreducibility, is_squarefree,
                              reference_factor_count, reversal)
 from .jacobian import (IDENTITY, StratumTable, divisor_class,
-                       effective_divisors, enumerate_jacobian, from_place,
-                       strata_table)
+                       enumerate_jacobian, from_place, strata_table)
 from .parsing import (CurveSpecData, MeasureTableData, parse_curve_spec,
                       parse_measure_table, parse_poly_text)
 from .ratpoly import BiPoly, RationalPoly
@@ -51,7 +50,7 @@ __all__ = [
     "all_clauses", "analyze_irreducibility", "base_change",
     "canonical_json", "class_number", "classical_specialization",
     "count_points", "counting_measure", "divisor_class",
-    "effective_divisor_count", "effective_divisors", "enumerate_jacobian",
+    "effective_divisor_count", "enumerate_jacobian",
     "enumerate_places", "extension_field", "field_embedding", "from_place",
     "is_squarefree", "lifted_lpolynomial", "lpolynomial_from_counts",
     "measure_from_table", "numerator_clauses", "parse_curve_spec",

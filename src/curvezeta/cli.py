@@ -13,7 +13,8 @@ from .errors import (CapacityError, ConsistencyError, InconsistentCountsError,
                      InvalidMeasureError, ModelShapeError, NotDivisibleError,
                      OracleUnsupportedError, ParseError, SingularCurveError,
                      StratificationError)
-from .finitefield import DEFAULT_CAPACITY
+from .curve import validate_model
+from .finitefield import DEFAULT_CAPACITY, extension_field
 from .parsing import parse_curve_spec, parse_measure_table
 from .report import (PipelineResult, canonical_json, render_text,
                      run_curve_pipeline, run_table_pipeline, all_clauses)
@@ -109,14 +110,16 @@ def _run_single(args) -> PipelineResult:
     else:
         text = args.spec
     spec = parse_curve_spec(text)
-    result = run_curve_pipeline(
+    if args.genus is not None:
+        # base change keeps the genus: check it before any work is spent
+        field = extension_field(spec.p, spec.k, capacity=args.max_work)
+        genus = validate_model(field, spec.f, spec.h).genus
+        if args.genus != genus:
+            raise ParseError(
+                f"--genus {args.genus} contradicts the computed genus {genus}")
+    return run_curve_pipeline(
         spec, base_change=args.base_change, series_order=args.series_order,
         capacity=args.max_work, with_timing=not args.no_timing)
-    if args.genus is not None and args.genus != result.report["input"]["genus"]:
-        raise ParseError(
-            f"--genus {args.genus} contradicts the computed genus "
-            f"{result.report['input']['genus']}")
-    return result
 
 
 def _cmd_analyze(args) -> int:

@@ -318,12 +318,15 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
     counted by exhaustion over x (count_points); they fix L(T), and every
     deeper a_m is read from that L.  So each degree is compared with a
     value the tally did not produce: shallow degrees with exhaustion, deep
-    degrees with the L that exhaustion determines.
+    degrees with the L that exhaustion determines.  A depth whose sieve
+    exceeds the work bound is refused before any sieving.
     """
     if max_degree < 1:
         raise ValueError("place table depth must be >= 1")
     F = model.field
     g = model.genus
+    for d in range(1, max_degree + 1):
+        fp.check_candidates(F, d, capacity)
     disc = _discriminant(model)
     tally = [0] * (max_degree + 1)
     tally[1] = 1  # the infinite place

@@ -193,6 +193,15 @@ def is_irreducible(F, poly) -> bool:
     return t == x_red
 
 
+def check_candidates(F, degree: int, capacity: int) -> None:
+    """Refuse a sieve over the q^degree monics of a degree above the bound."""
+    q = F.order
+    if q ** degree > capacity:
+        raise CapacityError(
+            f"enumerating degree-{degree} polynomials over order-{q} field "
+            f"needs {q ** degree} candidates, above the work bound {capacity}")
+
+
 def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> tuple:
     """All monic irreducibles of the given degree, sorted by coefficient key.
 
@@ -204,11 +213,8 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
     """
     if degree < 1:
         raise ValueError("irreducible polynomials have degree >= 1")
+    check_candidates(F, degree, capacity)
     q = F.order
-    if q ** degree > capacity:
-        raise CapacityError(
-            f"enumerating degree-{degree} polynomials over order-{q} field "
-            f"needs {q ** degree} candidates, above the work bound {capacity}")
     for d in range(1, degree + 1):
         if d in F._irreducibles:
             continue

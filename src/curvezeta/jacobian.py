@@ -4,8 +4,9 @@ A degree-zero class is stored as a reduced Mumford pair (U, V): U monic,
 deg V < deg U <= g, U | V^2 + hV - f.  For odd-degree models that reduced
 representative is unique, so pairs double as dictionary keys.
 
-A degree-n class (n >= 0) is keyed by (U, V, n), standing for the class of
-D where (U, V) represents [D - n*infinity].
+A degree-n class (n >= 0) is the pair (U, V) of [D - n*infinity]; the
+strata bucket such pairs per degree in one walk of the effective divisors,
+one Cantor addition per divisor.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from . import fqpoly as fp
 from .curve import HyperellipticModel, Place, PlaceTable
-from .errors import ConsistencyError, StratificationError
+from .errors import CapacityError, ConsistencyError, StratificationError
 from .finitefield import DEFAULT_CAPACITY
 
 IDENTITY = ((1,), ())
@@ -102,7 +103,6 @@ def enumerate_jacobian(model: HyperellipticModel, *,
     g = model.genus
     q = F.order
     if q ** (2 * g) > capacity:
-        from .errors import CapacityError
         raise CapacityError(
             f"jacobian enumeration needs {q ** (2 * g)} candidate pairs, "
             f"above the work bound {capacity}")
@@ -124,30 +124,6 @@ def enumerate_jacobian(model: HyperellipticModel, *,
     return tuple(sorted(out, key=lambda rep: (fp.deg(rep[0]),
                                               fp.encode(F, rep[0]),
                                               fp.encode(F, rep[1]))))
-
-
-def effective_divisors(place_table: PlaceTable, n: int):
-    """Yield every effective divisor of degree n as a tuple of
-    (place, multiplicity) pairs, places in table order.
-
-    Each level of the recursion picks one place of the support, so its
-    depth is at most n, however many places the table holds.
-    """
-    places = [p for d in range(1, n + 1) for p in place_table.places(d)]
-
-    def rec(start, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for idx in range(start, len(places)):
-            place = places[idx]
-            if place.degree > remaining:
-                break  # places are listed by increasing degree
-            for mult in range(remaining // place.degree, 0, -1):
-                for rest in rec(idx + 1, remaining - mult * place.degree):
-                    yield ((place, mult),) + rest
-
-    yield from rec(0, n)
 
 
 def section_count_to_h0(q: int, size: int) -> int:
@@ -181,6 +157,11 @@ def strata_table(model: HyperellipticModel, place_table: PlaceTable,
                  class_count: int) -> StratumTable:
     """Bucket effective divisors of each degree n <= 2g-2 by divisor class.
 
+    One walk visits each effective divisor of degree 1 .. 2g-2 once, as a
+    non-decreasing run of listed places: a node's class is its parent's
+    plus one place's image (one Cantor addition), and the walk goes one
+    level per place added, so at most 2g-2 deep.  Degree 0 holds only zero.
+
     Every bucket size must be a projective-space count (q^nu - 1)/(q - 1),
     which self-certifies the number of sections of the class.  The
     zero-section, duality and Clifford shape constraints are checked when
@@ -193,17 +174,24 @@ def strata_table(model: HyperellipticModel, place_table: PlaceTable,
         raise ValueError(
             f"strata need places up to degree {top}, table has "
             f"{place_table.max_degree}")
+    places = [p for d in range(1, top + 1) for p in place_table.places(d)]
+    images = [divisor_class(model, ((place, 1),))[0] for place in places]
+    buckets = [{IDENTITY: 1} if n == 0 else {} for n in range(top + 1)]
+
+    def walk(start, rep, degree):
+        for idx in range(start, len(places)):
+            n = degree + places[idx].degree
+            if n > top:
+                break  # places are listed by increasing degree
+            node = add(model, rep, images[idx])
+            buckets[n][node] = buckets[n].get(node, 0) + 1
+            walk(idx, node, n)
+
+    walk(0, IDENTITY, 0)
     rows = []
-    for n in range(top + 1):
-        buckets: dict = {}
-        for divisor in effective_divisors(place_table, n):
-            rep, degree = divisor_class(model, divisor)
-            if degree != n:
-                raise ConsistencyError(
-                    f"divisor {divisor} of degree {degree} listed in degree {n}")
-            buckets[rep] = buckets.get(rep, 0) + 1
+    for n, bucket in enumerate(buckets):
         row = [0] * (g + 1)
-        for rep, size in buckets.items():
+        for rep, size in bucket.items():
             nu = section_count_to_h0(q, size)
             if nu > g:
                 raise StratificationError(

@@ -2,8 +2,9 @@
 
 The oracle helpers here deliberately avoid the library under test: point
 counts come from double loops over small prime fields, irreducible-polynomial
-tallies from the Mobius formula, and extension fields (where a test needs
-one) from throwaway coefficient-list arithmetic written inline.
+tallies from the Mobius formula, effective divisors from a listing one
+divisor at a time, and extension fields (where a test needs one) from
+throwaway coefficient-list arithmetic written inline.
 """
 
 import random
@@ -73,6 +74,32 @@ def irreducible_tally(q, d):
     total = sum(mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
     assert total % d == 0
     return total // d
+
+
+def effective_divisors(place_table, n: int):
+    """Yield every effective divisor of degree n as a tuple of
+    (place, multiplicity) pairs, places in table order.
+
+    The reference enumeration the strata walk is checked against: each
+    divisor is listed on its own, so its class can be folded from zero.
+    Each level of the recursion picks one place of the support, so its
+    depth is at most n, however many places the table holds.
+    """
+    places = [p for d in range(1, n + 1) for p in place_table.places(d)]
+
+    def rec(start, remaining):
+        if remaining == 0:
+            yield ()
+            return
+        for idx in range(start, len(places)):
+            place = places[idx]
+            if place.degree > remaining:
+                break  # places are listed by increasing degree
+            for mult in range(remaining // place.degree, 0, -1):
+                for rest in rec(idx + 1, remaining - mult * place.degree):
+                    yield ((place, mult),) + rest
+
+    yield from rec(0, n)
 
 
 ELLIPTIC_F2 = [

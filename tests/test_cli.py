@@ -103,6 +103,20 @@ def test_curve_genus_crosscheck():
     assert main(["verify", "--spec", "p=3; f=x^5+1", "--genus", "1"]) == 2
 
 
+def test_curve_genus_contradiction_precedes_the_work_bound(monkeypatch, capsys):
+    import curvezeta.curve as curvemod
+
+    def no_places(*args, **kwargs):
+        raise AssertionError("places enumerated before the genus check")
+
+    monkeypatch.setattr(curvemod, "enumerate_places", no_places)
+    # the genus-3 curve's places need more than 100 candidates: the wrong
+    # --genus is an input error (2), found before the work bound (3)
+    assert main(["analyze", "--spec", "p=5; f=x^7+x+1", "--genus", "2",
+                 "--max-work", "100"]) == 2
+    assert "contradicts the computed genus 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--spec", "p=3; f=x^3+?"],          # parse error
     ["verify", "--spec", "p=3; f=x^2+1"],          # even degree

@@ -7,8 +7,8 @@ import pytest
 from curvezeta import (base_change, count_points, enumerate_places,
                        extension_field, field_embedding, parse_curve_spec,
                        validate_model)
-from curvezeta.errors import (ConsistencyError, ModelShapeError,
-                              SingularCurveError)
+from curvezeta.errors import (CapacityError, ConsistencyError,
+                              ModelShapeError, SingularCurveError)
 from conftest import brute_point_count, corpus_specs, field_sqrt
 
 
@@ -317,6 +317,23 @@ def test_places_refuses_degrees_beyond_the_table_depth(worked_elliptic):
             table.places(degree)
         with pytest.raises(ValueError):
             table.count(degree)
+
+
+def test_over_bound_depth_is_refused_before_any_fiber(monkeypatch):
+    import curvezeta.curve as curvemod
+    model = build("p=3; f=x^9+x+1")
+    classified = []
+
+    def spy(*args):
+        classified.append(args)
+        return 0
+
+    monkeypatch.setattr(curvemod, "_fiber_class", spy)
+    # 3^7 = 2187 is the first candidate count above the bound: the refusal
+    # names degree 7, as the sieve of that degree would
+    with pytest.raises(CapacityError, match=r"degree-7 polynomials .* 2187 "):
+        enumerate_places(model, 10, capacity=1000)
+    assert classified == []
 
 
 def test_square_class_disagreement_is_reported(monkeypatch):

@@ -5,15 +5,18 @@ import sys
 
 import pytest
 
-from curvezeta import (IDENTITY, Place, class_number, count_points,
-                       counting_measure, divisor_class,
-                       effective_divisor_count, effective_divisors,
-                       enumerate_jacobian, enumerate_places, extension_field,
-                       from_place, lpolynomial_from_counts, parse_curve_spec,
+from curvezeta import (IDENTITY, Place, base_change, class_number,
+                       count_points, counting_measure, divisor_class,
+                       effective_divisor_count, enumerate_jacobian,
+                       enumerate_places, extension_field, from_place,
+                       lpolynomial_from_counts, parse_curve_spec,
                        strata_table, validate_model)
+from curvezeta import jacobian
 from curvezeta.errors import (CapacityError, ConsistencyError,
                               InvalidMeasureError, StratificationError)
 from curvezeta.jacobian import StratumTable, add, negate, section_count_to_h0
+
+from conftest import effective_divisors
 
 GROUP_LAW_CURVES = [
     "p=3; f=x^3+x",
@@ -272,3 +275,74 @@ def test_effective_divisors_recurse_per_place_of_the_support():
     assert len(divisors) == table.count(1)
     assert [div[0][0] for div in divisors] == list(table.places(1))
 
+
+# Genus 3-5 curves, one over F_4 and one base-changed to F_4: the report
+# digests pin only genus 1-2, so these pin the strata above genus 2.
+DEEP_STRATA_CURVES = [
+    ("p=3; f=x^7+x+1", 1),
+    ("p=3; f=x^9+x+1", 1),
+    ("p=2; f=x^11+x+1; h=1", 1),
+    ("p=2; f=x^9+x+1; h=x+1", 1),
+    ("p=2; k=2; f=x^7+x+1; h=1", 1),
+    ("p=2; f=x^5+x+1; h=x+1", 2),
+]
+
+
+def _recursion_depth() -> int:
+    """The depth the recursion limit counts here (C calls included), found
+    by recursing until the limit is hit."""
+    def probe(n):
+        try:
+            return probe(n + 1)
+        except RecursionError:
+            return n
+    return sys.getrecursionlimit() - probe(0)
+
+
+@pytest.mark.parametrize("text,extension", DEEP_STRATA_CURVES)
+def test_strata_walk_matches_divisor_by_divisor_buckets(text, extension,
+                                                        monkeypatch):
+    model = build(text)
+    if extension > 1:
+        model = base_change(model, extension)
+    g, q = model.genus, model.field.order
+    top = 2 * g - 2
+    table = enumerate_places(model, top)
+    pic0 = class_number(lpolynomial_from_counts(
+        table.point_counts[:g], q, g))
+    # the reference: list every divisor and fold its class from zero
+    expected = []
+    for n in range(top + 1):
+        buckets: dict = {}
+        for divisor in effective_divisors(table, n):
+            rep = divisor_class(model, divisor)[0]
+            buckets[rep] = buckets.get(rep, 0) + 1
+        row = [0] * (g + 1)
+        for size in buckets.values():
+            row[section_count_to_h0(q, size)] += 1
+        row[0] = pic0 - sum(row)
+        expected.append(tuple(row))
+
+    calls = []
+
+    def counted_add(*args):
+        calls.append(None)
+        return add(*args)
+
+    monkeypatch.setattr(jacobian, "add", counted_add)
+    # the walk recurses once per place added: 2g-2 levels plus the few
+    # frames of one Cantor addition must do, fewer than the listed places
+    headroom = top + 10
+    listed = sum(table.count(d) for d in range(1, top + 1))
+    assert listed > headroom
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + headroom)
+    try:
+        strata = strata_table(model, table, pic0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert strata.rows == tuple(expected)
+    # one addition per effective divisor of degree 1..2g-2, plus at most
+    # one per listed place for its image
+    divisors = sum(effective_divisor_count(table, n) for n in range(1, top + 1))
+    assert divisors <= len(calls) <= divisors + listed
