@@ -17,16 +17,14 @@ at most (2m - 1) n.  So P is squarefree exactly when C is and one of the
 (2m - 1) n + 1 values c = 0, 1, ... gives a P(T, c) of T-degree m that is
 coprime to its T-derivative.
 
-Reference route: factor over the rationals with sympy, then classify each
-rational factor by a closed form (univariate, homogeneous, linear or
-quadratic in one variable).  Shapes outside that list raise
-OracleUnsupportedError rather than guess.  sympy is imported only when this
-route runs.
+Reference route: factor over the rationals, then classify each rational
+factor by a closed form (univariate, homogeneous, linear or quadratic in one
+variable).  Shapes outside that list raise OracleUnsupportedError rather
+than guess.  When the certificate below proves P irreducible over Q, P is
+its own factorization; only a P it cannot decide is factored by sympy, which
+is imported only then.
 
-A Q-irreducible P that is not homogeneous and has degree >= 3 in both
-variables fits no closed form, so the reference route refuses it before
-factoring when a certificate proves it irreducible over Q.  The
-certificate: the u-content of P is 1, and some P(T, c) has T-degree
+The certificate: the u-content of P is 1, and some P(T, c) has T-degree
 m = deg_T P and is irreducible mod a prime l that divides no denominator
 of P and not its leading coefficient.  Then P(T, c) is irreducible over Q
 (Gauss's lemma over the l-adic integers), and a factorization P = A B with
@@ -152,46 +150,57 @@ def _rank(rows: list) -> int:
     return rank
 
 
-def _sympy_expr(P: BiPoly, T, u):
-    import sympy
-    expr = sympy.Integer(0)
-    for (i, j), c in P.terms().items():
-        expr += sympy.Rational(c.numerator, c.denominator) * T ** i * u ** j
-    return expr
-
-
-def _square_in_closure(disc, var) -> bool:
+def _square_in_closure(disc: RationalPoly) -> bool:
     """Is a nonzero univariate rational polynomial a square over the
-    algebraic closure, i.e. are all its root multiplicities even?"""
-    import sympy
-    _, parts = sympy.sqf_list(disc, var)
-    return all(mult % 2 == 0 for _, mult in parts)
+    algebraic closure, i.e. are all its root multiplicities even?  Then its
+    monic part is s^2 for the monic s = prod (x - root)^(multiplicity / 2),
+    which is Galois-invariant, hence rational: match its coefficients from
+    the top down and confirm the square exactly."""
+    if disc.degree % 2:
+        return False
+    target = disc.monic()
+    n = disc.degree // 2
+    s = [Fraction(0)] * n + [Fraction(1)]
+    for k in range(n - 1, -1, -1):
+        # the x^(n+k) coefficient of s^2 is 2 s_k plus known products
+        known = sum(s[i] * s[n + k - i] for i in range(k + 1, n))
+        s[k] = (target.coeff(n + k) - known) / 2
+    return RationalPoly(s) ** 2 == target
 
 
-def _factor_count_closed_form(fac, T, u) -> int:
+def _factor_count_closed_form(fac: BiPoly) -> int:
     """Absolute factor count of one Q-irreducible polynomial, by shape."""
-    import sympy
-    d_t = sympy.degree(fac, gen=T)
-    d_u = sympy.degree(fac, gen=u)
+    d_t, d_u = fac.t_degree, fac.u_degree
     if d_t == 0 or d_u == 0:
-        return max(int(d_t), int(d_u))
-    poly = sympy.Poly(fac, T, u)
-    if poly.is_homogeneous:
-        return int(poly.total_degree())
+        return max(d_t, d_u)
+    total_degrees = {a + b for a, b in fac.terms()}
+    if len(total_degrees) == 1:
+        return total_degrees.pop()
     if d_t == 1 or d_u == 1:
         return 1
     if d_u == 2:
-        a = fac.coeff(u, 2)
-        b = fac.coeff(u, 1)
-        c = fac.coeff(u, 0)
-        return 2 if _square_in_closure(sympy.expand(b * b - 4 * a * c), T) else 1
+        a, b, c = (fac.coeff_of_u(j) for j in (2, 1, 0))
+        return 2 if _square_in_closure(b * b - a * c * 4) else 1
     if d_t == 2:
-        a = fac.coeff(T, 2)
-        b = fac.coeff(T, 1)
-        c = fac.coeff(T, 0)
-        return 2 if _square_in_closure(sympy.expand(b * b - 4 * a * c), u) else 1
+        a, b, c = (fac.coeff_of_t(i) for i in (2, 1, 0))
+        return 2 if _square_in_closure(b * b - a * c * 4) else 1
     raise OracleUnsupportedError(
         f"no closed form for a factor of bidegree ({d_t}, {d_u})")
+
+
+def _sympy_factors(P: BiPoly) -> list:
+    """The irreducible factors of P over Q, by sympy's factor_list."""
+    import sympy
+    T, u = sympy.symbols("T u")
+    expr = sympy.Integer(0)
+    for (i, j), c in P.terms().items():
+        expr += sympy.Rational(c.numerator, c.denominator) * T ** i * u ** j
+    _, factors = sympy.factor_list(expr)
+    if any(mult != 1 for _, mult in factors):
+        raise OracleUnsupportedError("repeated factor; count is ambiguous")
+    return [BiPoly.from_terms({
+        ij: Fraction(int(c.p), int(c.q))
+        for ij, c in sympy.Poly(fac, T, u).terms()}) for fac, _ in factors]
 
 
 def certify_irreducible(P: BiPoly, budget: int) -> bool:
@@ -234,24 +243,12 @@ def reference_factor_count(P: BiPoly) -> int:
     """Independent count of absolute irreducible factors: rational
     factorization plus per-factor closed forms.
 
-    A polynomial of degree >= 3 in both variables that is not homogeneous
-    and is certified irreducible over Q is refused at once, without sympy.
+    The factorization is [P] when certify_irreducible proves P irreducible
+    over Q, and sympy's otherwise.
     """
-    d_t, d_u = P.t_degree, P.u_degree
-    if (min(d_t, d_u) >= 3 and len({a + b for a, b in P.terms()}) > 1
-            and certify_irreducible(P, CERTIFICATE_BUDGET)):
-        raise OracleUnsupportedError(
-            f"no closed form for a Q-irreducible polynomial of bidegree "
-            f"({d_t}, {d_u})")
-    import sympy
-    T, u = sympy.symbols("T u")
-    _, factors = sympy.factor_list(_sympy_expr(P, T, u))
-    total = 0
-    for fac, mult in factors:
-        if mult != 1:
-            raise OracleUnsupportedError("repeated factor; count is ambiguous")
-        total += _factor_count_closed_form(fac, T, u)
-    return total
+    factors = ([P] if certify_irreducible(P, CERTIFICATE_BUDGET)
+               else _sympy_factors(P))
+    return sum(_factor_count_closed_form(fac) for fac in factors)
 
 
 def reversal(P: BiPoly) -> BiPoly:

@@ -5,16 +5,18 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from curvezeta import (BiPoly, absolute_factor_count, analyze_irreducibility,
-                       is_squarefree, reference_factor_count, reversal)
+from curvezeta import (BiPoly, RationalPoly, absolute_factor_count,
+                       analyze_irreducibility, is_squarefree,
+                       reference_factor_count, reversal)
 from curvezeta.errors import OracleUnsupportedError
 from curvezeta import irreducibility
 from curvezeta.irreducibility import (NotSquarefreeError, _rank,
-                                      certify_irreducible)
+                                      _square_in_closure, certify_irreducible)
 from conftest import FACTOR_POOL, random_products
 
 T, U = BiPoly.t(), BiPoly.u()
@@ -158,6 +160,41 @@ def test_quadratic_discriminant_classification():
     assert absolute_factor_count(U ** 2 - T ** 2 * (T + 1) ** 2) == 2
 
 
+X = RationalPoly.x()
+
+# irreducible over Q and pairwise coprime
+SQUARE_POOL = [X, X + 1, X - 2, 2 * X + 3, X ** 2 + 1, X ** 2 - 2,
+               X ** 3 - X - 1, 3 * X ** 4 + X + 1]
+
+
+def _square_by_sqf_list(poly):
+    """Every multiplicity in sympy's squarefree decomposition is even."""
+    import sympy
+    x = sympy.symbols("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+               for i, c in enumerate(poly.coeffs))
+    _, parts = sympy.sqf_list(expr, x)
+    return all(mult % 2 == 0 for _, mult in parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, -1, 2, -3, Fraction(1, 6), Fraction(5, 4)]),
+       st.lists(st.tuples(st.sampled_from(SQUARE_POOL), st.integers(1, 3)),
+                max_size=4))
+@example(7, [])  # constants are squares
+@example(Fraction(-2, 3), [])
+@example(1, [(X, 1)])  # odd degree
+@example(1, [(X + 1, 3)])
+@example(2, [(X ** 2 + 1, 2)])  # non-square constant times a square
+@example(-3, [(X - 2, 2), (X, 2), (X, 2)])
+@example(5, [(X ** 2 - 2, 1), (X + 1, 2)])
+def test_square_in_closure_matches_squarefree_decomposition(scalar, picks):
+    poly = RationalPoly.const(scalar)
+    for factor, exponent in picks:
+        poly = poly * factor ** exponent
+    assert _square_in_closure(poly) == _square_by_sqf_list(poly), poly
+
+
 def test_reversal():
     assert reversal(G1_NUMERATOR) == T ** 2 + (3 - U) * T + U
     assert reversal(reversal(G1_NUMERATOR)) == G1_NUMERATOR
@@ -274,42 +311,87 @@ def test_analyze_zero_mass_without_the_factor():
     assert not by_name["factor 1 - T at zero class mass"].passed
 
 
+EULER_TABLE = Path(__file__).parent / "data" / "euler_g1.txt"
 GENUS_3_SPEC = "p=2; f=x^7+x+1; h=x^3+x+1"
 
+# (spec, base change): genus 1, genus 2, a base change and genus 3
+CERTIFIED_RUNS = [("p=3; f=x^3+x", 1), ("p=5; f=x^5+x+1", 1),
+                  ("p=3; f=x^3+x", 2), (GENUS_3_SPEC, 1)]
 
-def test_certified_numerators_skip_sympy():
-    # the genus-3 numerator is certified irreducible over Q, so the oracle
-    # refuses it before sympy is imported
-    code = ("import sys\n"
-            "from curvezeta import parse_curve_spec, run_curve_pipeline\n"
-            f"result = run_curve_pipeline(parse_curve_spec({GENUS_3_SPEC!r}))\n"
-            "assert result.passed\n"
-            "assert result.report['checks']['irreducibility']"
-            "['reference_factor_count'] is None\n"
-            "assert 'sympy' not in sys.modules\n")
+
+def _fresh_process(code):
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
+def test_certified_numerators_skip_sympy():
+    # every numerator is certified irreducible over Q, so the oracle never
+    # imports sympy: genus 1 and 2 are classified as P itself, genus 3 fits
+    # no closed form and its clause is dropped
+    _fresh_process(
+        "import sys\n"
+        "from curvezeta import parse_curve_spec, run_curve_pipeline\n"
+        f"for spec, base_change in {CERTIFIED_RUNS!r}:\n"
+        "    result = run_curve_pipeline(parse_curve_spec(spec),\n"
+        "                                base_change=base_change)\n"
+        "    assert result.passed\n"
+        "    irred = result.report['checks']['irreducibility']\n"
+        "    names = [c['name'] for c in irred['clauses']]\n"
+        "    if result.report['input']['genus'] < 3:\n"
+        "        assert irred['reference_factor_count'] == 1, spec\n"
+        "        assert 'factor count cross-check' in names, spec\n"
+        "    else:\n"
+        "        assert irred['reference_factor_count'] is None, spec\n"
+        "        assert 'factor count cross-check' not in names, spec\n"
+        "assert 'sympy' not in sys.modules\n")
+    # (1 - T)(1 - uT) is reducible, so only sympy can factor it
+    _fresh_process(
+        "import sys\n"
+        "from curvezeta import parse_measure_table, run_table_pipeline\n"
+        f"text = open({str(EULER_TABLE)!r}).read()\n"
+        "result = run_table_pipeline(parse_measure_table(text))\n"
+        "assert result.passed\n"
+        "irred = result.report['checks']['irreducibility']\n"
+        "assert irred['reference_factor_count'] == 2\n"
+        "assert 'factor count cross-check' in "
+        "[c['name'] for c in irred['clauses']]\n"
+        "assert 'sympy' in sys.modules\n")
+
+
 def test_certificate_leaves_the_report_unchanged(monkeypatch):
     from curvezeta import canonical_json, parse_curve_spec, run_curve_pipeline
 
-    def report():
-        return canonical_json(run_curve_pipeline(
-            parse_curve_spec(GENUS_3_SPEC), with_timing=False).report)
-
-    classified = []
+    numerators, classified = [], []
+    oracle = irreducibility.reference_factor_count
     closed_form = irreducibility._factor_count_closed_form
 
-    def spy(fac, T, u):
+    def oracle_spy(P):
+        numerators.append(P)
+        return oracle(P)
+
+    def closed_form_spy(fac):
         classified.append(fac)
-        return closed_form(fac, T, u)
+        return closed_form(fac)
 
-    monkeypatch.setattr(irreducibility, "_factor_count_closed_form", spy)
-    certified = report()
-    assert classified == []
-    monkeypatch.setattr(irreducibility, "CERTIFICATE_BUDGET", 0)
-    assert report() == certified
-    assert len(classified) == 1  # sympy factored P and found no closed form
+    monkeypatch.setattr(irreducibility, "reference_factor_count", oracle_spy)
+    monkeypatch.setattr(irreducibility, "_factor_count_closed_form",
+                        closed_form_spy)
+    def report(spec, base_change, budget):
+        monkeypatch.setattr(irreducibility, "CERTIFICATE_BUDGET", budget)
+        numerators.clear()
+        classified.clear()
+        return canonical_json(run_curve_pipeline(
+            parse_curve_spec(spec), base_change=base_change,
+            with_timing=False).report)
 
+    default_budget = irreducibility.CERTIFICATE_BUDGET
+    for spec, base_change in CERTIFIED_RUNS:
+        certified = report(spec, base_change, default_budget)
+        assert len(numerators) == 1, spec
+        assert classified == numerators, spec  # P itself, nothing else
+        P = numerators[0]
+        assert report(spec, base_change, 0) == certified, spec
+        # sympy factored P into one factor, proportional to P
+        assert len(classified) == 1, spec
+        assert classified[0] * P.coeff(0, 0) == P * classified[0].coeff(0, 0)
