@@ -91,10 +91,7 @@ def validate_model(field: FiniteField, f, h=()) -> HyperellipticModel:
             f"deg h = {fp.deg(h)} exceeds the genus {genus}")
     p = field.p
     if p != 2:
-        four = 4 % p
-        if four == 0:
-            raise ModelShapeError("characteristic 2 must use the p == 2 path")
-        completed = fp.add(field, fp.scale(field, four, f), fp.mul(field, h, h))
+        completed = fp.add(field, fp.scale(field, 4 % p, f), fp.mul(field, h, h))
         pair = (completed, fp.derivative(field, completed))
         named = "gcd(4f+h^2, (4f+h^2)')"
     else:
@@ -192,12 +189,16 @@ class PlaceTable:
     for, and kept: listing needs a square root (Tonelli) or an
     Artin-Schreier solution per split fiber, while the strata read places
     only up to degree 2g-2 and the Euler product reads only the counts.
+    Listing reads the fiber classes the tally recorded in fibers, and
+    decides none again.
     """
     model: HyperellipticModel
     max_degree: int
     place_counts: tuple[int, ...]  # N_1 .. N_max_degree
     point_counts: tuple[int, ...]  # a_1 .. a_max_degree
-    capacity: int  # the work bound the table was enumerated under
+    # fibers[d - 1] = (the monic irreducibles u of degree d, as
+    # fp.monic_irreducibles returns them, and the _fiber_class of each u)
+    fibers: tuple = dataclass_field(compare=False, repr=False)
     # degree -> tuple[Place, ...], for the degrees listed so far
     by_degree: dict = dataclass_field(default_factory=dict, compare=False,
                                       repr=False)
@@ -211,8 +212,7 @@ class PlaceTable:
     def places(self, degree: int) -> tuple:
         self._check_degree(degree)
         if degree not in self.by_degree:
-            self.by_degree[degree] = _list_places(self.model, degree,
-                                                  self.capacity)
+            self.by_degree[degree] = _list_places(self, degree)
         return self.by_degree[degree]
 
     def all_places(self):
@@ -286,23 +286,22 @@ def _affine_places(model: HyperellipticModel, disc, u, split: int) -> list:
     return [Place("affine", u, v, fp.deg(u)) for v in vs]
 
 
-def _list_places(model: HyperellipticModel, degree: int,
-                 capacity: int) -> tuple:
+def _list_places(table: PlaceTable, degree: int) -> tuple:
     """Every place of the given degree, in sort_key order: affine places
-    over the irreducibles of that degree, inert places over those of half
-    of it, and the infinite place in degree 1."""
-    F = model.field
+    over the split and ramified fibers of that degree, inert places over
+    the inert fibers of half of it, and the infinite place in degree 1.
+    The fiber classes are read from the table's record."""
+    model = table.model
     disc = _discriminant(model)
     found = [Place("infinite", None, None, 1)] if degree == 1 else []
-    for u in fp.monic_irreducibles(F, degree, capacity=capacity):
-        split = _fiber_class(model, disc, u)
+    for u, split in zip(*table.fibers[degree - 1]):
         if split >= 0:
             found += _affine_places(model, disc, u, split)
     if degree % 2 == 0:
-        for u in fp.monic_irreducibles(F, degree // 2, capacity=capacity):
-            if _fiber_class(model, disc, u) < 0:
-                found.append(Place("inert", u, None, degree))
-    return tuple(sorted(found, key=lambda pl: pl.sort_key(F)))
+        found += [Place("inert", u, None, degree)
+                  for u, split in zip(*table.fibers[degree // 2 - 1])
+                  if split < 0]
+    return tuple(sorted(found, key=lambda pl: pl.sort_key(model.field)))
 
 
 def enumerate_places(model: HyperellipticModel, max_degree: int, *,
@@ -312,8 +311,9 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
     listed when first asked for.
 
     N_d comes from the irreducible sieve plus one square-class test per
-    fiber (_fiber_class); no square root is taken here.  Before the table
-    is returned, sum over d | m of d * N_d is compared with a_m =
+    fiber (_fiber_class), the only one: the table records each class, and
+    listing reads it from there.  No square root is taken here.  Before the
+    table is returned, sum over d | m of d * N_d is compared with a_m =
     |X(F_(q^m))| for every m <= max_degree.  For m <= max(g, 1) the a_m are
     counted by exhaustion over x (count_points); they fix L(T), and every
     deeper a_m is read from that L.  So each degree is compared with a
@@ -328,15 +328,16 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
     for d in range(1, max_degree + 1):
         fp.check_candidates(F, d, capacity)
     disc = _discriminant(model)
+    fibers = []
     tally = [0] * (max_degree + 1)
     tally[1] = 1  # the infinite place
     for d in range(1, max_degree + 1):
-        for u in fp.monic_irreducibles(F, d, capacity=capacity):
-            split = _fiber_class(model, disc, u)
-            if split >= 0:
-                tally[d] += 1 + split
-            elif 2 * d <= max_degree:
-                tally[2 * d] += 1
+        irreducibles = fp.monic_irreducibles(F, d, capacity=capacity)
+        classes = tuple(_fiber_class(model, disc, u) for u in irreducibles)
+        fibers.append((irreducibles, classes))
+        tally[d] += 2 * classes.count(1) + classes.count(0)
+        if 2 * d <= max_degree:
+            tally[2 * d] += classes.count(-1)
     exhausted = min(max_degree, max(g, 1))
     counts = [count_points(model, m, capacity=capacity)
               for m in range(1, exhausted + 1)]
@@ -354,7 +355,7 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
                 f"(from {source})")
     table = PlaceTable(model=model, max_degree=max_degree,
                        place_counts=tuple(tally[1:]),
-                       point_counts=tuple(counts), capacity=capacity)
+                       point_counts=tuple(counts), fibers=tuple(fibers))
     # List the degrees the strata read, and degree 1 at every genus, so
     # that each table runs the root extraction against the square-class
     # test at least once.

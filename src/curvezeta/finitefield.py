@@ -73,8 +73,8 @@ class FiniteField:
     them (irreducible lists, embeddings) only ever grow.
     """
 
-    def __init__(self, p: int, degree: int = 1, modulus: tuple[int, ...] | None = None,
-                 *, capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, p: int, degree: int = 1, *,
+                 capacity: int = DEFAULT_CAPACITY):
         if not is_prime(p):
             raise ModelShapeError(f"characteristic {p} is not prime")
         if degree < 1:
@@ -87,30 +87,19 @@ class FiniteField:
         self.base_order = p
         self.degree = degree
         self.order = order
-        self.zero = 0
         self.one = 1
         if degree == 1:
-            self.modulus = (0, 1) if modulus is None else tuple(modulus)
-            if self.modulus != (0, 1):
-                raise ModelShapeError("degree-1 field takes the modulus x only")
+            self.modulus = (0, 1)
             self._exp = self._log = None
         else:
             from . import fqpoly as fp  # fqpoly imports this module
             prime = extension_field(p, capacity=capacity)
+            modulus = next((m for m in (_digits(v, p, degree) + (1,)
+                                        for v in range(order))
+                            if fp.is_irreducible(prime, m)), None)
             if modulus is None:
-                modulus = next((m for m in (_digits(v, p, degree) + (1,)
-                                            for v in range(order))
-                                if fp.is_irreducible(prime, m)), None)
-                if modulus is None:
-                    raise ConsistencyError(
-                        f"no irreducible polynomial of degree {degree} over F_{p}")
-            else:
-                modulus = tuple(c % p for c in modulus[:-1]) + (1,)
-                if len(modulus) != degree + 1:
-                    raise ModelShapeError(
-                        "modulus degree does not match the extension degree")
-                if not fp.is_irreducible(prime, modulus):
-                    raise ModelShapeError("modulus polynomial is reducible")
+                raise ConsistencyError(
+                    f"no irreducible polynomial of degree {degree} over F_{p}")
             self.modulus = modulus
             self._build_log_tables(prime)
         self._irreducibles: dict[int, tuple] = {}

@@ -296,7 +296,7 @@ class QuotientRing:
     """F_q[x] / (u) for monic u; a field whenever u is irreducible.
 
     Shares the duck-typed interface of FiniteField that the square-root
-    helpers rely on: order, base_order, one, zero, elements(), mul, pow, inv.
+    helpers rely on: order, base_order, one, elements(), mul, pow, inv.
     """
 
     def __init__(self, field, modulus):
@@ -305,7 +305,6 @@ class QuotientRing:
         self.d = deg(self.modulus)
         self.base_order = field.order
         self.order = field.order ** self.d
-        self.zero = ()
         self.one = (1,)
 
     def reduce(self, a):

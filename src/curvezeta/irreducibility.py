@@ -206,7 +206,8 @@ def _sympy_factors(P: BiPoly) -> list:
 def certify_irreducible(P: BiPoly, budget: int) -> bool:
     """True when P is proved irreducible over Q by the certificate in the
     module docstring; False when no certificate turns up within budget
-    irreducibility tests, which decides nothing.
+    irreducibility tests, which decides nothing.  When P(1, u) vanishes and
+    deg_T P >= 2, 1 - T is a proper factor and False comes before any test.
 
     The primes l are tried in increasing order, and for each the values
     c = 0 .. l - 1, which give distinct reductions mod l.
@@ -214,6 +215,8 @@ def certify_irreducible(P: BiPoly, budget: int) -> bool:
     m = P.t_degree
     if m < 1 or _u_content(P).degree > 0:
         return False
+    if m >= 2 and P.eval_t(1).is_zero():
+        return False  # 1 - T is a proper factor
     terms = P.terms()
     den = lcm(*(c.denominator for c in terms.values()))
     tries = 0

@@ -394,31 +394,6 @@ def bivariate_exact_divide(num: BiPoly, den: BiPoly) -> BiPoly:
     return quot
 
 
-def series_expand_rational(num: RationalPoly, den_factors, order: int) -> list[Fraction]:
-    """First order+1 coefficients of num / prod(den_factors) as a power series.
-
-    Every factor must have a nonzero constant term (the series otherwise
-    does not exist); factors are arbitrary polynomials, e.g. 1 - 3T.
-    """
-    if order < 0:
-        raise ValueError("series order must be nonnegative")
-    coeffs = [num.coeff(i) for i in range(order + 1)]
-    for factor in den_factors:
-        f = _coerce(factor)
-        if f.coeff(0) == 0:
-            raise ZeroDivisionError(
-                f"denominator factor {f} has zero constant term")
-        d0 = f.coeff(0)
-        out = [Fraction(0)] * (order + 1)
-        for i in range(order + 1):
-            acc = coeffs[i]
-            for j in range(1, min(i, f.degree) + 1):
-                acc -= f.coeff(j) * out[i - j]
-            out[i] = acc / d0
-        coeffs = out
-    return coeffs
-
-
 def format_poly(coeffs, var: str) -> str:
     """Human-readable polynomial text, constant term first in the input."""
     parts = []

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InconsistentCountsError
-from .ratpoly import RationalPoly, series_expand_rational
+from .ratpoly import RationalPoly
 
 
 @dataclass(frozen=True)
@@ -52,32 +52,24 @@ class LPolynomial:
 def lpolynomial_from_counts(counts, q: int, genus: int) -> LPolynomial:
     """Build L from a_1 .. a_genus.
 
-    The series coefficients s_n of Z(T) obey n s_n = sum a_m s_(n-m); the
-    low half of L is then Z * (1-T)(1-qT) truncated, and the high half comes
-    from the functional equation.  Non-integer intermediate values mean the
-    counts are not the counts of any curve.
+    The power sums P_m = q^m + 1 - a_m of the inverse roots give the low
+    half of L by Newton's identities, m c_m = -sum_(j=1..m) P_j c_(m-j);
+    the high half comes from the functional equation.  A non-integer c_m
+    means the counts are not the counts of any curve.
     """
     counts = list(counts)
     if len(counts) < genus:
         raise InconsistentCountsError(
             f"need a_1..a_{genus} to determine a genus-{genus} L-polynomial")
-    s = [Fraction(1)]
+    psums = [q ** m + 1 - counts[m - 1] for m in range(1, genus + 1)]
+    low = [1]
     for n in range(1, genus + 1):
-        acc = Fraction(0)
-        for m in range(1, n + 1):
-            acc += counts[m - 1] * s[n - m]
-        s.append(acc / n)
-    low = []
-    for n in range(genus + 1):
-        c = s[n]
-        if n >= 1:
-            c -= (1 + q) * s[n - 1]
-        if n >= 2:
-            c += q * s[n - 2]
-        if c.denominator != 1:
+        acc = -sum(psums[j - 1] * low[n - j] for j in range(1, n + 1))
+        if acc % n:
             raise InconsistentCountsError(
-                f"counts force the non-integer coefficient c_{n} = {c}")
-        low.append(int(c))
+                f"counts force the non-integer coefficient c_{n} = "
+                f"{Fraction(acc, n)}")
+        low.append(acc // n)
     full = low + [q ** (genus - i) * low[i] for i in range(genus - 1, -1, -1)]
     return LPolynomial(coeffs=tuple(full), q=q, genus=genus)
 
@@ -115,17 +107,22 @@ def lifted_lpolynomial(lpoly: LPolynomial, m: int) -> LPolynomial:
 
 def zeta_series(lpoly: LPolynomial, order: int) -> list[int]:
     """s_0 .. s_order with s_n = |X^(n)(F_q)|, the degree-n effective
-    divisor counts, read off the expansion of L / ((1-T)(1-qT))."""
-    one = RationalPoly.const(1)
-    t = RationalPoly.x()
-    values = series_expand_rational(
-        lpoly.as_poly(), [one - t, one - lpoly.q * t], order)
+    divisor counts, read off the expansion of L / ((1-T)(1-qT)):
+    s_n = c_n + (1+q) s_(n-1) - q s_(n-2)."""
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
+    c, q = lpoly.coeffs, lpoly.q
     out = []
-    for n, v in enumerate(values):
-        if v.denominator != 1 or v < 0:
+    for n in range(order + 1):
+        v = c[n] if n < len(c) else 0
+        if n >= 1:
+            v += (1 + q) * out[n - 1]
+        if n >= 2:
+            v -= q * out[n - 2]
+        if v < 0:
             raise InconsistentCountsError(
                 f"series coefficient s_{n} = {v} is not a nonnegative integer")
-        out.append(int(v))
+        out.append(v)
     return out
 
 

@@ -309,6 +309,27 @@ def test_places_listed_on_demand_match_the_counts(text, depth):
                 assert not fp.mod(F, probe, place.u)
 
 
+@pytest.mark.parametrize("text", [
+    "p=3; f=x^7+x+1", "p=2; f=x^9+x^3+1; h=x^2+x", "p=3; k=2; f=x^3+x"])
+def test_each_fiber_is_classified_once(monkeypatch, text):
+    import curvezeta.curve as curvemod
+    import curvezeta.fqpoly as fp
+    model = build(text)
+    depth = 2 * model.genus + 2
+    real = curvemod._fiber_class
+    classified = []
+
+    def spy(model, disc, u):
+        classified.append(u)
+        return real(model, disc, u)
+
+    monkeypatch.setattr(curvemod, "_fiber_class", spy)
+    table = enumerate_places(model, depth)
+    assert len(list(table.all_places())) == sum(table.place_counts)
+    assert len(classified) == sum(len(fp.monic_irreducibles(model.field, d))
+                                  for d in range(1, depth + 1))
+
+
 def test_places_refuses_degrees_beyond_the_table_depth(worked_elliptic):
     table = enumerate_places(worked_elliptic, 4)
     assert table.places(4)

@@ -136,8 +136,3 @@ def test_capacity_bound_enforced_even_when_cached():
 def test_field_cache_returns_identical_objects():
     assert extension_field(3, 2) is extension_field(3, 2)
     assert extension_field(7) is extension_field(7)
-
-
-def test_reducible_modulus_rejected():
-    with pytest.raises(ModelShapeError):
-        FiniteField(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x + 1)^2 over F_2

@@ -359,6 +359,23 @@ def test_certified_numerators_skip_sympy():
         "assert 'sympy' in sys.modules\n")
 
 
+def test_certificate_gives_up_at_once_on_the_factor_1_minus_t(monkeypatch):
+    from curvezeta import (measure_from_table, parse_measure_table,
+                           zeta_numerator)
+    P = zeta_numerator(measure_from_table(
+        parse_measure_table(EULER_TABLE.read_text())))
+    real = irreducibility.fp.is_irreducible
+    tests = []
+
+    def spy(F, f):
+        tests.append(f)
+        return real(F, f)
+
+    monkeypatch.setattr(irreducibility.fp, "is_irreducible", spy)
+    assert irreducibility.reference_factor_count(P) == 2
+    assert tests == []
+
+
 def test_certificate_leaves_the_report_unchanged(monkeypatch):
     from curvezeta import canonical_json, parse_curve_spec, run_curve_pipeline
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from curvezeta import BiPoly, RationalPoly
 from curvezeta.errors import NotDivisibleError
 from curvezeta.ratpoly import (bivariate_divmod, bivariate_exact_divide,
-                               format_poly, poly_gcd, series_expand_rational)
+                               format_poly, poly_gcd)
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -108,20 +108,6 @@ def test_bivariate_exact_division():
     with pytest.raises(NotDivisibleError) as info:
         bivariate_exact_divide(prod + 1, u - 1)
     assert not info.value.remainder.is_zero()
-
-
-def test_series_expansion_geometric():
-    one = RationalPoly.const(1)
-    t = RationalPoly.x()
-    assert series_expand_rational(one, [one - t], 5) == [1] * 6
-    # 1 / ((1-T)(1-2T)) has coefficients 2^(n+1) - 1
-    got = series_expand_rational(one, [one - t, one - 2 * t], 6)
-    assert got == [2 ** (n + 1) - 1 for n in range(7)]
-
-
-def test_series_expansion_rejects_zero_constant_term():
-    with pytest.raises(ZeroDivisionError):
-        series_expand_rational(RationalPoly.const(1), [RationalPoly.x()], 3)
 
 
 def test_format_poly_rendering():
