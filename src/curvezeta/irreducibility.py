@@ -4,8 +4,14 @@ Primary route: the dimension of the solution space of the partial
 differential equation g_u * P - g * P_u = h_T * P - h * P_T, with the Gao
 degree bounds on g and h, equals the number of irreducible factors of a
 squarefree P over the algebraic closure.  The system is built from the
-coefficients of P with denominators cleared, so its rank is taken exactly
-over the integers by fraction-free elimination.
+coefficients of P with denominators cleared, so its rank is an integer
+matrix rank.  That rank is bounded on both sides: (g, h) = (P_T, P_u) always
+solves the system, so the rank is at most its width minus one, and the rank
+mod a prime is at most the rank over Q, since a minor that is nonzero mod
+the prime is a nonzero integer.  A rank mod a prime near 2^20 that reaches
+the width minus one is therefore the rank over Q; only when it falls short,
+as for a reducible P, is the rank taken exactly over the integers by
+fraction-free elimination.
 
 Squarefreeness, which that count needs, is decided with univariate gcds
 only.  Let C(u) be the u-content of P, m = deg_T P and n = deg_u P.  A
@@ -48,6 +54,9 @@ from .zetatwo import ClauseResult
 # The most irreducibility tests mod l that certify_irreducible runs for one
 # polynomial before it gives up and the reference route factors with sympy.
 CERTIFICATE_BUDGET = 128
+
+# The fixed prime of the modular pass in _rank: the largest below 2^20.
+_PRIME = next(l for l in range((1 << 20) - 1, 1, -2) if is_prime(l))
 
 
 class NotSquarefreeError(ValueError):
@@ -124,10 +133,71 @@ def absolute_factor_count(P: BiPoly) -> int:
                 row_index[key] = len(rows)
                 rows.append([0] * width)
             rows[row_index[key]][k] = val
-    return width - _rank(rows)
+    # (g, h) = (P_T, P_u) is a nonzero solution, so the rank is below width.
+    return width - _rank(rows, width - 1)
 
 
-def _rank(rows: list) -> int:
+def _rank(rows: list, bound: int | None = None) -> int:
+    """Rank over Q of an integer matrix.  A given bound must be at least
+    that rank; min(#rows, #cols) always is, and is the default.
+
+    The rank mod _PRIME is at most the rank over Q, because a minor that is
+    nonzero mod the prime is nonzero over Z.  So when the modular pass
+    reaches the bound, the bound is the rank; only when it falls short does
+    exact Bareiss elimination decide."""
+    limit = min(len(rows), len(rows[0]) if rows else 0)
+    if bound is not None:
+        limit = min(limit, bound)
+    if _rank_mod_prime(rows, limit) == limit:
+        return limit
+    return _bareiss_rank(rows)
+
+
+def _rank_mod_prime(rows: list, limit: int) -> int:
+    """Rank mod _PRIME of an integer matrix, or limit if that is smaller.
+
+    Each row is packed into one int with a slot of `width` bytes per column,
+    column 0 lowest, so eliminating a column is one big-int update
+    row + f * pivot_row per row.  A slot is reduced mod the prime only when
+    it is read as a pivot candidate or its row becomes the pivot row, whose
+    slots are then all reduced.  Every slot starts below p and gains less
+    than p^2 per pivot, over at most #cols pivots, so it stays below
+    (#cols + 1) p^2, which the slot width holds.  After each column every
+    row shifts right by one slot, dropping the column just eliminated."""
+    p = _PRIME
+    ncols = len(rows[0]) if rows else 0
+    width = (2 * p.bit_length() + ncols.bit_length() + 1 + 7) // 8
+    shift = 8 * width
+    mask = (1 << shift) - 1
+
+    def pack(values):
+        return int.from_bytes(b"".join(v.to_bytes(width, "little")
+                                       for v in values), "little")
+
+    live = [pack([a % p for a in row]) for row in rows]
+    rank = 0
+    for col in range(ncols):
+        if rank == limit:
+            break
+        heads = [(r & mask) % p for r in live]
+        k = next((i for i, v in enumerate(heads) if v), None)
+        tail = 0  # with no pivot every head is 0 and the rows only shift
+        if k is not None:
+            # The pivot row, past its head, reduced and scaled by -1/head:
+            # then adding head * tail to a row's tail clears that row's head.
+            scale = -pow(heads.pop(k), -1, p)
+            packed = (live.pop(k) >> shift).to_bytes(
+                width * (ncols - col - 1), "little")
+            tail = pack([int.from_bytes(packed[i:i + width], "little")
+                         * scale % p for i in range(0, len(packed), width)])
+            rank += 1
+        # In place, so the packed matrix is never held twice.
+        for i, v in enumerate(heads):
+            live[i] = (live[i] >> shift) + v * tail
+    return rank
+
+
+def _bareiss_rank(rows: list) -> int:
     """Rank over Q of an integer matrix, by fraction-free (Bareiss)
     elimination: after k pivots every entry below them is a (k+1)-minor,
     so each update divides exactly by the previous pivot (Sylvester's

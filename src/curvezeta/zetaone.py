@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InconsistentCountsError
-from .ratpoly import RationalPoly
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,6 @@ class LPolynomial:
         if g >= 1 and cs[1] ** 2 > 4 * g * g * self.q:
             raise InconsistentCountsError(
                 f"|c_1| = {abs(cs[1])} breaks the Weil bound c_1^2 <= 4 g^2 q")
-
-    def as_poly(self) -> RationalPoly:
-        return RationalPoly(self.coeffs)
 
     def __str__(self):
         from .ratpoly import format_poly

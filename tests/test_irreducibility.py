@@ -15,8 +15,9 @@ from curvezeta import (BiPoly, RationalPoly, absolute_factor_count,
                        reference_factor_count, reversal)
 from curvezeta.errors import OracleUnsupportedError
 from curvezeta import irreducibility
-from curvezeta.irreducibility import (NotSquarefreeError, _rank,
-                                      _square_in_closure, certify_irreducible)
+from curvezeta.irreducibility import (_PRIME, NotSquarefreeError, _rank,
+                                      _rank_mod_prime, _square_in_closure,
+                                      certify_irreducible)
 from conftest import FACTOR_POOL, random_products
 
 T, U = BiPoly.t(), BiPoly.u()
@@ -234,27 +235,127 @@ def fraction_rank(rows):
     return rank
 
 
+# Small entries make rank drops likely; large ones, past 2^64, test that
+# nothing is truncated to a machine word.
+ENTRIES = st.integers(-9, 9) | st.integers(-2 ** 40, 2 ** 40)
+
+
 @st.composite
 def deficient_matrices(draw):
     """Integer matrices up to 10 x 10 of rank at most the inner dimension of
     a random product, with some columns zeroed."""
     rows, cols, inner = (draw(st.integers(1, 10)) for _ in range(3))
-    entries = st.integers(-9, 9)
-    left = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+    left = draw(st.lists(st.lists(ENTRIES, min_size=inner, max_size=inner),
                          min_size=rows, max_size=rows))
-    right = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+    right = draw(st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols),
                           min_size=inner, max_size=inner))
     zeroed = draw(st.sets(st.integers(0, cols - 1)))
     return [[0 if j in zeroed else sum(a * right[k][j] for k, a in enumerate(row))
              for j in range(cols)] for row in left]
 
 
-@settings(max_examples=200, deadline=None)
-@given(deficient_matrices())
+@st.composite
+def full_rank_matrices(draw):
+    """Integer matrices up to 10 x 10 of rank min(#rows, #cols): the leading
+    square block is strictly diagonally dominant, hence nonsingular."""
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    entries = st.integers(-2 ** 70, 2 ** 70)
+    mat = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows))
+    for i in range(min(rows, cols)):
+        mat[i][i] = draw(st.sampled_from([1, -1])) * (
+            sum(abs(a) for a in mat[i]) + 1)
+    return mat
+
+
+MATRICES = deficient_matrices() | full_rank_matrices()
+
+
+@settings(max_examples=300, deadline=None)
+@given(MATRICES)
 def test_rank_matches_fraction_elimination(rows):
     before = [row[:] for row in rows]
     assert _rank(rows) == fraction_rank(rows)
     assert rows == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(full_rank_matrices())
+def test_full_rank_matrices_have_full_rank(rows):
+    assert _rank(rows) == min(len(rows), len(rows[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(MATRICES, st.integers(1, 2 ** 64))
+@example([[1, 0], [0, _PRIME]], 1)  # rank 2 over Q, 1 mod the prime
+@example([[_PRIME, 2 * _PRIME], [3 * _PRIME, 6 * _PRIME]], 1)
+def test_multiples_of_the_prime_go_to_exact_elimination(rows, multiple):
+    """A matrix the prime divides reads rank 0 mod it, so exact elimination
+    must decide, and gets the rank of the matrix before scaling."""
+    truth = fraction_rank(rows)
+    scaled = [[_PRIME * multiple * a for a in row] for row in rows]
+    assert _rank_mod_prime(scaled, len(rows)) == 0
+    assert _rank(scaled) == truth
+    assert _rank(rows) == truth
+
+
+@settings(max_examples=150, deadline=None)
+@given(MATRICES, st.data())
+def test_rank_below_an_explicit_bound(rows, data):
+    truth = fraction_rank(rows)
+    bound = data.draw(st.integers(truth, min(len(rows), len(rows[0]))))
+    assert _rank(rows, bound) == truth
+    scaled = [[_PRIME * a for a in row] for row in rows]
+    assert _rank(scaled, bound) == truth
+
+
+def test_rank_with_a_kernel_vector_and_a_bound():
+    # columns 0 + 1 = 2, so rank <= 2 < min(4, 3); the modular pass reaches 2
+    rows = [[1, 2, 3], [4, -5, -1], [2 ** 70, 3, 2 ** 70 + 3], [0, 7, 7]]
+    assert _rank(rows, 2) == 2 == fraction_rank(rows)
+    # the same matrix times the prime: only exact elimination finds 2
+    scaled = [[_PRIME * a for a in row] for row in rows]
+    assert _rank(scaled, 2) == 2
+
+
+def _bareiss_calls(monkeypatch):
+    calls = []
+    real = irreducibility._bareiss_rank
+
+    def spy(rows):
+        calls.append((len(rows), len(rows[0])))
+        return real(rows)
+
+    monkeypatch.setattr(irreducibility, "_bareiss_rank", spy)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["p=2; f=x^11+x+1; h=1", "p=3; f=x^7+x+1"])
+def test_curve_numerators_skip_exact_elimination(monkeypatch, spec):
+    from curvezeta import parse_curve_spec, run_curve_pipeline
+    calls = _bareiss_calls(monkeypatch)
+    ranks = []
+    real = irreducibility._rank
+
+    def rank_spy(rows, bound=None):
+        ranks.append(bound)
+        return real(rows, bound)
+
+    monkeypatch.setattr(irreducibility, "_rank", rank_spy)
+    result = run_curve_pipeline(parse_curve_spec(spec), with_timing=False)
+    assert result.passed
+    assert result.report["checks"]["irreducibility"]["factor_count"] == 1
+    assert len(ranks) == 1 and calls == []
+
+
+def test_reducible_numerator_takes_exact_elimination(monkeypatch):
+    from curvezeta import (measure_from_table, parse_measure_table,
+                           zeta_numerator)
+    P = zeta_numerator(measure_from_table(
+        parse_measure_table(EULER_TABLE.read_text())))
+    calls = _bareiss_calls(monkeypatch)
+    assert absolute_factor_count(P) == 2
+    assert len(calls) == 1
 
 
 def test_analyze_genus_zero():
