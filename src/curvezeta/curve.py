@@ -239,17 +239,18 @@ def _fiber_class(model: HyperellipticModel, disc, u) -> int:
     affine places, ramifies into one, or stays inert.
 
     One square-class test decides it: the quadratic character of
-    f + h^2/4 mod u for odd q, the absolute trace of f/h^2 mod u in
-    characteristic 2 (ramified where u | h).
+    f + h^2/4 mod u for odd q (fp.quadratic_character), and in
+    characteristic 2 the absolute trace of w = f/h^2 mod u
+    (fp.absolute_trace), ramified where u | h (fp.over_square returns
+    None).  All three run on int lists with the field's lookup tables, and
+    none builds a QuotientRing.
     """
     F = model.field
     if F.p != 2:
-        return fp.quadratic_character(F, fp.mod(F, disc, u), u)
-    hbar = fp.mod(F, model.h, u)
-    if not hbar:
+        return fp.quadratic_character(F, disc, u)
+    w = fp.over_square(F, model.f, model.h, u)
+    if w is None:
         return 0
-    ring = fp.QuotientRing(F, u)
-    w = ring.mul(fp.mod(F, model.f, u), ring.pow(ring.inv(hbar), 2))
     return 1 - 2 * fp.absolute_trace(F, w, u)
 
 

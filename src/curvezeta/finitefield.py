@@ -104,6 +104,7 @@ class FiniteField:
             self._build_log_tables(prime)
         self._irreducibles: dict[int, tuple] = {}
         self._embeddings: dict = {}
+        self._tables = None  # fqpoly's list-kernel tables, built on first use
 
     # -- construction helpers ------------------------------------------------
 

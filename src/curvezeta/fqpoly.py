@@ -8,6 +8,8 @@ base field of a curve and the big fields used for point counting.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .errors import CapacityError
 from .finitefield import DEFAULT_CAPACITY, tonelli_sqrt
 
@@ -132,13 +134,16 @@ def xgcd(F, a, b):
 
 
 def pow_mod(F, a, e, m):
-    r = (1,)
+    """a^e mod m, by left-to-right binary powering: one squaring per bit of
+    e below the top one, and one product per set bit below it."""
+    if not e:
+        return (1,)
     a = mod(F, a, m)
-    while e:
-        if e & 1:
+    r = a
+    for bit in bin(e)[3:]:
+        r = mod(F, mul(F, r, r), m)
+        if bit == "1":
             r = mod(F, mul(F, r, a), m)
-        a = mod(F, mul(F, a, a), m)
-        e >>= 1
     return r
 
 
@@ -206,10 +211,24 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
     """All monic irreducibles of the given degree, sorted by coefficient key.
 
     Candidates of a degree d are sieved by the products of each monic
-    irreducible of degree a <= d/2 with every monic of degree d - a.  Every
-    reducible monic of degree d has a monic irreducible factor of such a
-    degree, so the survivors are exactly the irreducibles.  Lists are cached
-    on the field, so repeated calls are cheap.
+    irreducible p_low of degree a <= d/2 with every monic of degree d - a.
+    Every reducible monic of degree d has a monic irreducible factor of such
+    a degree, so the survivors are exactly the irreducibles.  Lists are
+    cached on the field, so repeated calls are cheap.
+
+    The products are walked, not multiplied.  An element of F_q, q = p^k,
+    is the base-p number of its coordinates over F_p, so the key of a
+    polynomial (encode) is the base-p number of its coefficients'
+    coordinates laid end to end.  The cofactor runs through its q^(d-a)
+    monics in odometer order on those base-p digits.  Stepping the digit of
+    coordinate s at position i by one, the wrap from p - 1 to 0 included,
+    adds e_s * p_low * x^i to the product, where e_s is the element encoded
+    p^s; the digits of e_s * p_low are worked out once per p_low and s.  So
+    the walk keeps the product's digits and key and updates both at the
+    nonzero digits of that vector, at most (a + 1) k a step
+    (_mark_products).  In characteristic 2 digits add by XOR, so the key
+    alone is kept and a step is one XOR.  No step multiplies polynomials or
+    re-encodes a key.
     """
     if degree < 1:
         raise ValueError("irreducible polynomials have degree >= 1")
@@ -224,15 +243,154 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
             continue
         composite = bytearray(q ** d)
         for a in range(1, d // 2 + 1):
-            others = [decode_monic(F, mval, d - a) for mval in range(q ** (d - a))]
             for p_low in F._irreducibles[a]:
-                for other in others:
-                    prod = mul(F, p_low, other)
-                    composite[encode(F, prod[:-1])] = 1
+                _mark_products(F, composite, p_low, d - a)
+        survivors = compress(range(q ** d), composite.translate(_UNMARKED))
         F._irreducibles[d] = tuple(decode_monic(F, value, d)
-                                   for value in range(q ** d)
-                                   if not composite[value])
+                                   for value in survivors)
     return F._irreducibles[degree]
+
+
+_UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _mark_products(F, composite, p_low, m: int) -> None:
+    """Set composite[encode(p_low * other)] for every monic other of degree
+    m, walking other in odometer order (see monic_irreducibles).
+
+    Flat digit t = i k + s of other is coordinate s of its x^i coefficient.
+    The product's flat digits r < width = (m + deg p_low) k make up its
+    key, its leading 1 left out; digit r has weight p^r in the key.
+    """
+    p, k = F.p, F.degree
+    n = m * k
+    width = (m + len(p_low) - 1) * k
+    # steps[s]: the nonzero flat digits (r, v) of e_s * p_low
+    steps = []
+    for s in range(k):
+        vec = []
+        for j, c in enumerate(p_low):
+            c = F.mul(p ** s, c)
+            for r in range(j * k, (j + 1) * k):
+                if c % p:
+                    vec.append((r, c % p))
+                c //= p
+        steps.append(vec)
+    # the walk starts at other = x^m
+    start = [(m * k + r, v) for r, v in steps[0] if m * k + r < width]
+    if p == 2:
+        key = sum(1 << r for r, _ in start)
+        flips = [sum(1 << (t - t % k + r) for r, _ in steps[t % k])
+                 for t in range(n)]
+        # every key over the low flat digits, then the rest in Gray-code
+        # order: each step there flips one digit
+        low = min(n, 6)
+        block = [key]
+        for f in flips[:low]:
+            block += [x ^ f for x in block]
+        for x in block:
+            composite[x] = 1
+        rest, shift = flips[low:], 0
+        for j in range(1, 1 << (n - low)):
+            shift ^= rest[(j & -j).bit_length() - 1]
+            for x in block:
+                composite[x ^ shift] = 1
+        return
+    weight = [p ** r for r in range(width)]
+    prod = [0] * width
+    key = 0
+    for r, v in start:
+        prod[r] = v
+        key += v * weight[r]
+    # per flat digit t: (r, v, key change without wrap, with wrap)
+    moves = [[(t - t % k + r, v, v * weight[t - t % k + r],
+               (v - p) * weight[t - t % k + r]) for r, v in steps[t % k]]
+             for t in range(n)]
+    digits = [0] * n
+    top = p - 1
+    composite[key] = 1
+    t = 0
+    while True:  # step digit t; a wrap to 0 carries into digit t + 1
+        for r, v, up, down in moves[t]:
+            x = prod[r] + v
+            if x < p:
+                prod[r] = x
+                key += up
+            else:
+                prod[r] = x - p
+                key += down
+        if digits[t] < top:
+            digits[t] += 1
+            composite[key] = 1
+            t = 0
+        else:
+            digits[t] = 0
+            t += 1
+            if t == n:
+                return
+
+
+def _tables(F):
+    """(log, exp, extra): the lookup tables of the list kernels below, built
+    on first use and kept on the field, each with O(q) entries.  n = q - 1
+    and g is the generator of F's log tables.
+
+      log[c]  the discrete log of c, and 2n for c = 0;
+      exp[i]  g^i for i < 2n and 0 for 2n <= i <= 4n, so that
+              exp[log[a] + log[b]] = a*b for every a and b;
+      extra   in characteristic 2, the mask of the coordinates whose basis
+              element has absolute trace 1, so that the trace of c is the
+              parity of c & mask; for odd q, the Zech logarithms
+              zech[i] = log(1 + g^i), written twice so that any
+              i in (-2n, 2n) indexes it, and 2n where 1 + g^i = 0 (Lidl
+              and Niederreiter, Finite Fields, ch. 2).
+
+    An odd prime field needs none: its kernels reduce mod p.
+    """
+    t = F._tables
+    if t is None:
+        p, n = F.p, F.order - 1
+        if F.degree == 1:  # F_2
+            logs, exps = [-1, 0], [1]
+        else:
+            logs, exps = F._log, F._exp
+        log = list(logs)
+        log[0] = 2 * n
+        exp = list(exps) * 2 + [0] * (2 * n + 1)
+        if p == 2:
+            extra = sum(1 << i for i in range(F.degree)
+                        if F.absolute_trace(1 << i))
+        else:
+            # 1 + c steps the lowest base-p digit of c
+            extra = [log[c + 1 if c % p != p - 1 else c + 1 - p]
+                     for c in exps] * 2
+        t = F._tables = (log, exp, extra)
+    return t
+
+
+def _divmod2(log, exp, a: list, b) -> tuple:
+    """(quotient, remainder) of a by b != 0 in characteristic 2, on int
+    lists through the tables of _tables; a is consumed."""
+    n = len(log) - 1
+    nb = len(b) - 1
+    quot = [0] * max(len(a) - nb, 0)
+    if quot:
+        inv_lead = n - log[b[-1]]
+        logs_b = [(j, log[c]) for j, c in enumerate(b[:-1]) if c]
+        for top in range(len(a) - 1, nb - 1, -1):
+            c = a[top]
+            if c:
+                lc = log[c] + inv_lead
+                if lc >= n:
+                    lc -= n
+                s = top - nb
+                quot[s] = exp[lc]
+                for j, lb in logs_b:
+                    a[s + j] ^= exp[lc + lb]
+        a = a[:nb]
+    while a and not a[-1]:
+        a.pop()
+    return quot, a
 
 
 def quadratic_character(F, a, u) -> int:
@@ -245,24 +403,142 @@ def quadratic_character(F, a, u) -> int:
     and B, (A / B) = (-1)^(((q-1)/2) deg A deg B) (B / A), and a constant c
     has (c / B) = chi(c)^(deg B), with chi the quadratic character of F_q.
     No power is taken in F_q[x]/(u).
+
+    Each step reduces by a monic divisor and scales the remainder monic,
+    on int lists.  Over a prime field (_jacobi_mod_p) the coefficients
+    reduce mod p, lazily, and chi is Euler's criterion c^((p-1)/2).  Over
+    an extension field (_jacobi_zech) they multiply through log tables and
+    add by Zech logarithms (_tables), and chi(c) = -1 exactly when the log
+    of c is odd.
     """
     if F.p == 2:
         raise ValueError("quadratic_character needs odd characteristic")
-    half = (F.order - 1) // 2
+    if F.degree == 1:
+        return _jacobi_mod_p(F.p, list(a), u)
+    return _jacobi_zech(F, list(a), u)
+
+
+def _jacobi_mod_p(p, a: list, b) -> int:
+    """quadratic_character over the prime field F_p; a is consumed."""
+    half = (p - 1) // 2
+    flip = half & 1
     sign = 1
-    a, b = mod(F, a, u), tuple(u)
-    while deg(b) > 0:
+    while True:
+        nb = len(b) - 1
+        if len(a) > nb:
+            for top in range(len(a) - 1, nb - 1, -1):
+                c = a[top] % p
+                if c:
+                    s = top - nb
+                    for j in range(nb):
+                        a[s + j] -= c * b[j]
+            a = [x % p for x in a[:nb]]
+        while a and not a[-1]:
+            a.pop()
+        if not nb:
+            return sign
         if not a:
             return 0
         c = a[-1]
         if c != 1:
-            if deg(b) % 2 and F.pow(c, half) != 1:
+            if nb & 1 and pow(c, half, p) != 1:
                 sign = -sign
-            a = scale(F, F.inv(c), a)
-        if half % 2 and deg(a) % 2 and deg(b) % 2:
+            c = pow(c, -1, p)
+            a = [x * c % p for x in a]
+        if flip and nb & 1 and not len(a) & 1:
             sign = -sign
-        a, b = mod(F, b, a), a
-    return sign
+        a, b = list(b), a
+
+
+def _jacobi_zech(F, a: list, b) -> int:
+    """quadratic_character over an odd extension field; a is consumed."""
+    log, exp, zech = _tables(F)
+    n = F.order - 1
+    half = n // 2
+    flip = half & 1
+    sign = 1
+    while True:
+        nb = len(b) - 1
+        if len(a) > nb:
+            # logs of the nonzero -b_j; -1 = g^half
+            neg_b = [(j, (log[c] + half) % n) for j, c in enumerate(b[:-1]) if c]
+            for top in range(len(a) - 1, nb - 1, -1):
+                c = a[top]
+                if c:
+                    lc, s = log[c], top - nb
+                    for j, lb in neg_b:
+                        y = a[s + j]
+                        if y:
+                            ly = log[y]
+                            a[s + j] = exp[ly + zech[lc + lb - ly]]
+                        else:
+                            a[s + j] = exp[lc + lb]
+            a = a[:nb]
+        while a and not a[-1]:
+            a.pop()
+        if not nb:
+            return sign
+        if not a:
+            return 0
+        c = a[-1]
+        if c != 1:
+            lc = log[c]
+            if nb & 1 and lc & 1:
+                sign = -sign
+            lc = n - lc
+            a = [exp[log[x] + lc] for x in a]
+        if flip and nb & 1 and not len(a) & 1:
+            sign = -sign
+        a, b = list(b), a
+
+
+def over_square(F, a, b, u):
+    """a / b^2 mod u for monic irreducible u in characteristic 2, as a
+    polynomial of degree < deg u; None when u divides b.
+
+    The inverse of b comes from an extended Euclid that keeps only b's
+    cofactor; squaring it maps each coefficient c at x^i to c^2 at x^(2i).
+    All steps run on int lists through the log tables of _tables.
+    """
+    if F.p != 2:
+        raise ValueError("over_square is only provided in characteristic 2")
+    log, exp, _ = _tables(F)
+    b = _divmod2(log, exp, list(b), u)[1]
+    if not b:
+        return None
+    # r0 = s0 * b and r1 = s1 * b mod u throughout
+    r0, r1, s0, s1 = list(u), b, [], [1]
+    while len(r1) > 1:
+        quot, rem = _divmod2(log, exp, r0, r1)
+        s2 = _mul2(log, exp, quot, s1)
+        for i, c in enumerate(s0):
+            s2[i] ^= c
+        while s2 and not s2[-1]:
+            s2.pop()
+        r0, r1, s0, s1 = r1, rem, s1, s2
+    if not r1:
+        raise ZeroDivisionError("b is not invertible mod u")
+    inv_c = len(log) - 1 - log[r1[0]]
+    inverse = [exp[log[c] + inv_c] for c in s1]
+    square = [0] * (2 * len(inverse) - 1)
+    square[::2] = [exp[2 * log[c]] for c in inverse]
+    square = _divmod2(log, exp, square, u)[1]
+    a = _divmod2(log, exp, list(a), u)[1]
+    return tuple(_divmod2(log, exp, _mul2(log, exp, a, square), u)[1])
+
+
+def _mul2(log, exp, a, b) -> list:
+    """The product of two polynomials in characteristic 2."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    logs_b = [log[c] for c in b]
+    for i, c in enumerate(a):
+        if c:
+            lc = log[c]
+            for j, lb in enumerate(logs_b):
+                out[i + j] ^= exp[lc + lb]
+    return out
 
 
 def absolute_trace(F, a, u) -> int:
@@ -271,25 +547,27 @@ def absolute_trace(F, a, u) -> int:
 
     The trace down to F_q is sum_i a_i s_i, where s_i is the i-th power sum
     of the roots of u, read off u's coefficients by Newton's identities;
-    FiniteField.absolute_trace takes it the rest of the way (Lidl and
-    Niederreiter, Finite Fields, ch. 2).  z^2 + z = a is solvable exactly
-    when this trace is 0.
+    the absolute trace of F_q takes it the rest of the way (Lidl and
+    Niederreiter, Finite Fields, ch. 2), as the parity of the coordinates
+    that _tables masks.  z^2 + z = a is solvable exactly when this trace is
+    0.
     """
     if F.p != 2:
         raise ValueError("absolute_trace is only provided in characteristic 2")
-    a = mod(F, a, u)
-    d = deg(u)
+    log, exp, mask = _tables(F)
+    a = _divmod2(log, exp, list(a), u)[1]
+    d = len(u) - 1
     # s_k = k c_(d-k) + sum_(i<k) c_(d-i) s_(k-i), signs dropped in char 2
     sums = [d % 2]
     for k in range(1, len(a)):
         acc = u[d - k] if k % 2 else 0
         for i in range(1, k):
-            acc = F.add(acc, F.mul(u[d - i], sums[k - i]))
+            acc ^= exp[log[u[d - i]] + log[sums[k - i]]]
         sums.append(acc)
     t = 0
     for coeff, s in zip(a, sums):
-        t = F.add(t, F.mul(coeff, s))
-    return F.absolute_trace(t)
+        t ^= exp[log[coeff] + log[s]]
+    return (t & mask).bit_count() & 1
 
 
 class QuotientRing:

@@ -76,6 +76,44 @@ def irreducible_tally(q, d):
     return total // d
 
 
+def product_sieve(F, degree):
+    """{d: the monic irreducibles of degree d over the field F} for every
+    d <= degree, each as a tuple sorted by coefficient key: the reference
+    sieve.  Every product of a monic irreducible of degree a <= d/2 with a
+    monic of degree d - a is multiplied out coefficient by coefficient with
+    F.add and F.mul and marked by its key; the unmarked monics remain."""
+    q = F.order
+
+    def key(coeffs):
+        t = 0
+        for c in reversed(coeffs):
+            t = t * q + c
+        return t
+
+    def monic(value, d):
+        coeffs = []
+        for _ in range(d):
+            coeffs.append(value % q)
+            value //= q
+        return tuple(coeffs) + (1,)
+
+    found = {1: tuple(monic(value, 1) for value in range(q))}
+    for d in range(2, degree + 1):
+        composite = bytearray(q ** d)
+        for a in range(1, d // 2 + 1):
+            others = [monic(value, d - a) for value in range(q ** (d - a))]
+            for low in found[a]:
+                for other in others:
+                    prod = [0] * (d + 1)
+                    for i, x in enumerate(low):
+                        for j, y in enumerate(other):
+                            prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+                    composite[key(prod[:-1])] = 1
+        found[d] = tuple(monic(value, d) for value in range(q ** d)
+                         if not composite[value])
+    return found
+
+
 def effective_divisors(place_table, n: int):
     """Yield every effective divisor of degree n as a tuple of
     (place, multiplicity) pairs, places in table order.

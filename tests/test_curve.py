@@ -9,6 +9,7 @@ from curvezeta import (base_change, count_points, enumerate_places,
                        validate_model)
 from curvezeta.errors import (CapacityError, ConsistencyError,
                               ModelShapeError, SingularCurveError)
+from curvezeta import fqpoly as fp
 from conftest import brute_point_count, corpus_specs, field_sqrt
 
 
@@ -328,6 +329,54 @@ def test_each_fiber_is_classified_once(monkeypatch, text):
     assert len(list(table.all_places())) == sum(table.place_counts)
     assert len(classified) == sum(len(fp.monic_irreducibles(model.field, d))
                                   for d in range(1, depth + 1))
+
+
+def reference_class(model, u):
+    """The square class of the fiber over u from powers in F_q[x]/(u):
+    Euler's criterion on f + h^2/4 for odd q; in characteristic 2, 0 where
+    u | h, else the trace of w = f/h^2 taken as the sum of w^(2^i) over
+    i < k deg u, with no Newton sums."""
+    F = model.field
+    ring = fp.QuotientRing(F, u)
+    if F.p != 2:
+        disc = fp.add(F, model.f, fp.scale(F, F.inv(4 % F.p),
+                                           fp.mul(F, model.h, model.h)))
+        euler = ring.pow(ring.reduce(disc), (ring.order - 1) // 2)
+        return {(): 0, (1,): 1, (F.neg(1),): -1}[euler]
+    hbar = ring.reduce(model.h)
+    if not hbar:
+        return 0
+    w = ring.mul(ring.reduce(model.f), ring.inv(ring.mul(hbar, hbar)))
+    trace, power = (), w
+    for _ in range(F.degree * ring.d):
+        trace = ring.add(trace, power)
+        power = ring.mul(power, power)
+    return {(): 1, (1,): -1}[trace]
+
+
+@pytest.mark.parametrize("text,ramified", [
+    ("p=2; f=x^5+x^3+1; h=x^2+x", (1, 1)),
+    ("p=2; k=2; f=x^3+2*x+1; h=x", (0, 1)),
+    ("p=2; k=3; f=x^3+5*x^2+x+3; h=x+4", (4, 1)),
+    ("p=3; f=x^3+x", (0, 1)),
+    ("p=3; f=x^5+2*x+1; h=x", None),
+    ("p=5; f=x^3+x", (0, 1)),
+    ("p=5; f=x^5+x; h=x+2", None),
+    ("p=3; k=2; f=x^3+4*x", (0, 1)),
+    ("p=3; k=2; f=x^3+x; h=3*x+5", None),
+])
+def test_fiber_class_matches_powers_in_the_residue_field(text, ramified):
+    import curvezeta.curve as curvemod
+    model = build(text)
+    disc = curvemod._discriminant(model)
+    classes = {}
+    for d in (1, 2, 3):
+        for u in fp.monic_irreducibles(model.field, d):
+            classes[u] = curvemod._fiber_class(model, disc, u)
+            assert classes[u] == reference_class(model, u), (text, u)
+    assert {1, -1} <= set(classes.values())
+    if ramified is not None:
+        assert classes[ramified] == 0
 
 
 def test_places_refuses_degrees_beyond_the_table_depth(worked_elliptic):

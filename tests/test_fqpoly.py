@@ -4,10 +4,10 @@ and the Mobius count of irreducibles."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvezeta import extension_field
+from curvezeta import FiniteField, extension_field
 from curvezeta.errors import CapacityError
 from curvezeta import fqpoly as fp
-from conftest import irreducible_tally
+from conftest import irreducible_tally, product_sieve
 
 
 def polys(p, max_deg=5):
@@ -110,7 +110,7 @@ def test_encode_decode_monic_round_trip():
     (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4),
     (3, 1, 1), (3, 1, 2), (3, 1, 3),
     (5, 1, 1), (5, 1, 2),
-    (2, 2, 2),
+    (2, 2, 2), (2, 2, 4), (2, 3, 3), (3, 2, 3), (5, 2, 2),
 ])
 def test_monic_irreducible_tally_matches_mobius_count(p, k, d):
     F = extension_field(p, k)
@@ -119,6 +119,16 @@ def test_monic_irreducible_tally_matches_mobius_count(p, k, d):
     for u in polys_:
         assert fp.deg(u) == d and u[-1] == 1
         assert fp.is_irreducible(F, u)
+
+
+@pytest.mark.parametrize("p,k,max_d", [
+    (2, 1, 10), (3, 1, 6), (5, 1, 4), (2, 2, 4), (2, 3, 3), (3, 2, 3)])
+def test_odometer_sieve_matches_the_product_sieve(p, k, max_d):
+    # a fresh field, so that no cached list stands in for the walk
+    F = FiniteField(p, k)
+    reference = product_sieve(F, max_d)
+    for d in range(1, max_d + 1):
+        assert fp.monic_irreducibles(F, d) == reference[d], (p, k, d)
 
 
 def test_irreducibility_matches_trial_division():
