@@ -226,9 +226,8 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
     p^s; the digits of e_s * p_low are worked out once per p_low and s.  So
     the walk keeps the product's digits and key and updates both at the
     nonzero digits of that vector, at most (a + 1) k a step
-    (_mark_products).  In characteristic 2 digits add by XOR, so the key
-    alone is kept and a step is one XOR.  No step multiplies polynomials or
-    re-encodes a key.
+    (_mark_products).  The same walk serves every field, characteristic 2
+    included.  No step multiplies polynomials or re-encodes a key.
     """
     if degree < 1:
         raise ValueError("irreducible polynomials have degree >= 1")
@@ -278,24 +277,6 @@ def _mark_products(F, composite, p_low, m: int) -> None:
         steps.append(vec)
     # the walk starts at other = x^m
     start = [(m * k + r, v) for r, v in steps[0] if m * k + r < width]
-    if p == 2:
-        key = sum(1 << r for r, _ in start)
-        flips = [sum(1 << (t - t % k + r) for r, _ in steps[t % k])
-                 for t in range(n)]
-        # every key over the low flat digits, then the rest in Gray-code
-        # order: each step there flips one digit
-        low = min(n, 6)
-        block = [key]
-        for f in flips[:low]:
-            block += [x ^ f for x in block]
-        for x in block:
-            composite[x] = 1
-        rest, shift = flips[low:], 0
-        for j in range(1, 1 << (n - low)):
-            shift ^= rest[(j & -j).bit_length() - 1]
-            for x in block:
-                composite[x ^ shift] = 1
-        return
     weight = [p ** r for r in range(width)]
     prod = [0] * width
     key = 0
