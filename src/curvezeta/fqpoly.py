@@ -29,12 +29,28 @@ def deg(a) -> int:
 
 
 def add(F, a, b):
-    n = max(len(a), len(b))
-    return trim(tuple(F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-                      for i in range(n)))
+    if len(a) < len(b):
+        a, b = b, a
+    # characteristic 2 adds the encodings by XOR, a prime field mod p
+    if F.p == 2:
+        out = [x ^ y for x, y in zip(a, b)]
+    elif F.degree == 1:
+        p = F.p
+        out = [(x + y) % p for x, y in zip(a, b)]
+    else:
+        out = [F.add(x, y) for x, y in zip(a, b)]
+    out += a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def neg(F, a):
+    if F.p == 2:
+        return tuple(a)
+    if F.degree == 1:
+        p = F.p
+        return tuple(p - c if c else 0 for c in a)
     return tuple(F.neg(c) for c in a)
 
 

@@ -2,11 +2,15 @@
 
 A degree-zero class is stored as a reduced Mumford pair (U, V): U monic,
 deg V < deg U <= g, U | V^2 + hV - f.  For odd-degree models that reduced
-representative is unique, so pairs double as dictionary keys.
+representative is unique, so pairs double as dictionary keys.  Every
+function here takes and returns reduced pairs; add relies on that when it
+returns the other operand for IDENTITY.
 
 A degree-n class (n >= 0) is the pair (U, V) of [D - n*infinity]; the
 strata bucket such pairs per degree in one walk of the effective divisors,
-one Cantor addition per divisor.
+one Cantor addition per divisor.  Most of those additions have an
+IDENTITY operand or coprime U's; add handles both without the full
+composition.
 """
 
 from __future__ import annotations
@@ -43,11 +47,29 @@ def _reduce(model: HyperellipticModel, u, v):
 
 
 def add(model: HyperellipticModel, rep1, rep2):
-    """Cantor composition followed by reduction."""
+    """The sum of two reduced Mumford pairs: Cantor composition followed by
+    reduction (Cantor, Computing in the Jacobian of a hyperelliptic curve,
+    Math. Comp. 48, 1987).
+
+    Both operands must be reduced pairs, as this module returns them; then
+    IDENTITY + b = b, so an IDENTITY operand returns the other one.  For
+    coprime u1, u2 the composition has d = 1: u = u1 u2, and v is the
+    solution of degree < deg u of v = v1 mod u1, v = v2 mod u2, which is
+    v1 + u1 ((v2 - v1) e1 mod u2) with e1 u1 = 1 mod u2 from the first
+    xgcd.  The second xgcd and both exact divisions are then skipped.
+    """
+    if rep1 == IDENTITY:
+        return rep2
+    if rep2 == IDENTITY:
+        return rep1
     F = model.field
     u1, v1 = rep1
     u2, v2 = rep2
     d1, e1, e2 = fp.xgcd(F, u1, u2)
+    if d1 == (1,):
+        lift = fp.mod(F, fp.mul(F, fp.sub(F, v2, v1), e1), u2)
+        return _reduce(model, fp.mul(F, u1, u2),
+                       fp.add(F, v1, fp.mul(F, u1, lift)))
     step = fp.add(F, fp.add(F, v1, v2), model.h)
     d, c1, c2 = fp.xgcd(F, d1, step)
     s1 = fp.mul(F, c1, e1)

@@ -114,6 +114,29 @@ def product_sieve(F, degree):
     return found
 
 
+def cantor_add(model, rep1, rep2):
+    """The full Cantor composition of two Mumford pairs, then reduction:
+    the reference for curvezeta.jacobian.add, which skips steps in the
+    identity and coprime cases.  Written on curvezeta.fqpoly, with both
+    extended gcds and both exact divisions on every pair."""
+    from curvezeta import fqpoly as fp
+    from curvezeta.jacobian import _reduce
+    F = model.field
+    u1, v1 = rep1
+    u2, v2 = rep2
+    d1, e1, e2 = fp.xgcd(F, u1, u2)
+    step = fp.add(F, fp.add(F, v1, v2), model.h)
+    d, c1, c2 = fp.xgcd(F, d1, step)
+    u_comp, rem = fp.divmod_(F, fp.mul(F, u1, u2), fp.mul(F, d, d))
+    assert not rem
+    acc = fp.add(F, fp.mul(F, fp.mul(F, fp.mul(F, c1, e1), u1), v2),
+                 fp.mul(F, fp.mul(F, fp.mul(F, c1, e2), u2), v1))
+    acc = fp.add(F, acc, fp.mul(F, c2, fp.add(F, fp.mul(F, v1, v2), model.f)))
+    v_comp, rem = fp.divmod_(F, acc, d)
+    assert not rem
+    return _reduce(model, fp.monic(F, u_comp), fp.mod(F, v_comp, u_comp))
+
+
 def effective_divisors(place_table, n: int):
     """Yield every effective divisor of degree n as a tuple of
     (place, multiplicity) pairs, places in table order.

@@ -10,31 +10,47 @@ from curvezeta import fqpoly as fp
 from conftest import irreducible_tally, product_sieve
 
 
-def polys(p, max_deg=5):
-    return st.lists(st.integers(0, p - 1), min_size=0, max_size=max_deg + 1)
+def polys(q, max_deg=5):
+    return st.lists(st.integers(0, q - 1), min_size=0, max_size=max_deg + 1)
 
 
-@given(st.sampled_from([2, 3, 5, 7]), st.data())
-def test_ring_identities(p, data):
-    F = extension_field(p)
-    a = fp.trim(data.draw(polys(p)))
-    b = fp.trim(data.draw(polys(p)))
-    c = fp.trim(data.draw(polys(p)))
+# prime fields, and F_4, F_8 and F_9, whose add, neg and sub take the
+# characteristic-2 and the odd extension field branches
+RING_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3), (3, 2)]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(RING_FIELDS), st.data())
+def test_ring_identities(pk, data):
+    F = extension_field(*pk)
+    a = fp.trim(data.draw(polys(F.order)))
+    b = fp.trim(data.draw(polys(F.order)))
+    c = fp.trim(data.draw(polys(F.order)))
     assert fp.add(F, a, b) == fp.add(F, b, a)
     assert fp.mul(F, a, b) == fp.mul(F, b, a)
     assert fp.mul(F, fp.mul(F, a, b), c) == fp.mul(F, a, fp.mul(F, b, c))
     assert fp.mul(F, a, fp.add(F, b, c)) == fp.add(F, fp.mul(F, a, b),
                                                    fp.mul(F, a, c))
     assert fp.sub(F, a, a) == ()
+    assert fp.add(F, a, fp.neg(F, a)) == ()
+    assert fp.add(F, fp.sub(F, a, b), b) == a
+    assert fp.sub(F, a, b) == fp.neg(F, fp.sub(F, b, a))
+    # coefficientwise against the field's own add and neg
+    n = max(len(a), len(b))
+    pad_a, pad_b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    assert fp.add(F, a, b) == fp.trim([F.add(x, y) for x, y in zip(pad_a, pad_b)])
+    assert fp.sub(F, a, b) == fp.trim([F.add(x, F.neg(y))
+                                       for x, y in zip(pad_a, pad_b)])
     if a and b:
         assert fp.deg(fp.mul(F, a, b)) == fp.deg(a) + fp.deg(b)
 
 
-@given(st.sampled_from([2, 3, 5, 13]), st.data())
-def test_division_invariant(p, data):
-    F = extension_field(p)
-    a = fp.trim(data.draw(polys(p, 7)))
-    b = fp.trim(data.draw(polys(p, 4)))
+@settings(max_examples=300)
+@given(st.sampled_from(RING_FIELDS), st.data())
+def test_division_invariant(pk, data):
+    F = extension_field(*pk)
+    a = fp.trim(data.draw(polys(F.order, 7)))
+    b = fp.trim(data.draw(polys(F.order, 4)))
     if not b:
         return
     q, r = fp.divmod_(F, a, b)
@@ -43,11 +59,12 @@ def test_division_invariant(p, data):
     assert fp.mod(F, a, b) == r
 
 
-@given(st.sampled_from([2, 3, 5]), st.data())
-def test_xgcd_bezout(p, data):
-    F = extension_field(p)
-    a = fp.trim(data.draw(polys(p)))
-    b = fp.trim(data.draw(polys(p)))
+@settings(max_examples=300)
+@given(st.sampled_from(RING_FIELDS), st.data())
+def test_xgcd_bezout(pk, data):
+    F = extension_field(*pk)
+    a = fp.trim(data.draw(polys(F.order)))
+    b = fp.trim(data.draw(polys(F.order)))
     g, s, t = fp.xgcd(F, a, b)
     assert fp.add(F, fp.mul(F, s, a), fp.mul(F, t, b)) == g
     if g:

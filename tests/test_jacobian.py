@@ -11,12 +11,13 @@ from curvezeta import (IDENTITY, Place, base_change, class_number,
                        enumerate_places, extension_field, from_place,
                        lpolynomial_from_counts, parse_curve_spec,
                        strata_table, validate_model)
+from curvezeta import fqpoly as fp
 from curvezeta import jacobian
 from curvezeta.errors import (CapacityError, ConsistencyError,
                               InvalidMeasureError, StratificationError)
 from curvezeta.jacobian import StratumTable, add, negate, section_count_to_h0
 
-from conftest import effective_divisors
+from conftest import cantor_add, effective_divisors
 
 GROUP_LAW_CURVES = [
     "p=3; f=x^3+x",
@@ -25,6 +26,17 @@ GROUP_LAW_CURVES = [
     "p=2; f=x^3+x+1; h=1",
     "p=2; f=x^5; h=1",
     "p=2; f=x^5+x^3+x; h=x",
+    "p=2; k=2; f=x^5+x+1; h=x^2+x+1",
+    "p=3; k=2; f=x^3+2*x+1",
+]
+
+# one small curve over each of F_2, F_3, F_4 and F_9, for the comparison
+# of add with the full Cantor composition on every pair of classes
+CANTOR_CURVES = [
+    "p=2; f=x^7+x^5+x^3+x; h=x^3+x^2+1",
+    "p=3; f=x^5+2*x+1",
+    "p=2; k=2; f=x^5+x+1; h=x^2+x+1",
+    "p=3; k=2; f=x^3+x",
 ]
 
 
@@ -93,6 +105,24 @@ def test_scalar_multiples(text):
         assert scalar(model, rep, order) == IDENTITY
         assert scalar(model, rep, -1) == negate(model, rep)
         assert scalar(model, rep, -3) == negate(model, scalar(model, rep, 3))
+
+
+@pytest.mark.parametrize("text", CANTOR_CURVES)
+def test_add_matches_the_full_cantor_composition(text):
+    """add skips steps for an IDENTITY operand and for coprime u1, u2;
+    every pair of classes, so a + a, a + (-a) and IDENTITY on either side
+    among them, must give the full composition's reduced pair."""
+    model = build(text)
+    F = model.field
+    reps = enumerate_jacobian(model)
+    kinds = set()
+    for a in reps:
+        assert negate(model, a) in reps
+        for b in reps:
+            assert add(model, a, b) == cantor_add(model, a, b)
+            if IDENTITY not in (a, b):
+                kinds.add(fp.gcd(F, a[0], b[0]) == (1,))
+    assert kinds == {True, False}
 
 
 def test_enumeration_respects_capacity():
