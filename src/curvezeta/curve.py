@@ -16,6 +16,7 @@ monic irreducible u = u(x) below them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from . import fqpoly as fp
 from . import zetaone
@@ -199,6 +200,9 @@ class PlaceTable:
     # fibers[d - 1] = (the monic irreducibles u of degree d, as
     # fp.monic_irreducibles returns them, and the _fiber_class of each u)
     fibers: tuple = dataclass_field(compare=False, repr=False)
+    # the Discriminant the classes were decided with (None in
+    # characteristic 2)
+    disc: object = dataclass_field(compare=False, repr=False)
     # degree -> tuple[Place, ...], for the degrees listed so far
     by_degree: dict = dataclass_field(default_factory=dict, compare=False,
                                       repr=False)
@@ -224,30 +228,48 @@ class PlaceTable:
         return self.place_counts[degree - 1]
 
 
+class Discriminant(NamedTuple):
+    """D = f + h^2/4 for odd q, monic of odd degree 2g + 1, whose square
+    class mod u decides the fiber over u; and chars, the rows of the table
+    chars[e][key] = (m / D) over the monic m of degree e < deg D that
+    enumerate_places fills (fp.extend_multiplicative), empty until then."""
+    poly: tuple
+    chars: list
+
+
 def _discriminant(model: HyperellipticModel):
-    """f + h^2/4 for odd q, whose square class mod u decides the fiber over
-    u; None in characteristic 2."""
+    """The Discriminant of an odd-q model, with no table; None in
+    characteristic 2."""
     F = model.field
     if F.p == 2:
         return None
-    return fp.add(F, model.f,
-                  fp.scale(F, F.inv(4 % F.p), fp.mul(F, model.h, model.h)))
+    return Discriminant(fp.add(F, model.f, fp.scale(
+        F, F.inv(4 % F.p), fp.mul(F, model.h, model.h))), [])
 
 
 def _fiber_class(model: HyperellipticModel, disc, u) -> int:
     """1, 0 or -1: the fiber over the monic irreducible u splits into two
     affine places, ramifies into one, or stays inert.
 
-    One square-class test decides it: the quadratic character of
-    f + h^2/4 mod u for odd q (fp.quadratic_character), and in
-    characteristic 2 the absolute trace of w = f/h^2 mod u
+    One square-class test decides it.  For odd q it is the Jacobi symbol
+    (D / u) of D = f + h^2/4 (disc.poly).  Below deg D = 2g + 1, and while
+    disc's table is short of deg D, fp.quadratic_character computes it.
+    From deg D up, reciprocity gives (D / u) = (-1)^(d (q-1)/2) chi(c)
+    (m / D) for u of degree d, where u mod D = c m with m monic, chi is the
+    quadratic character of F_q and (m / D) is read from the table
+    (fp.reciprocal_character); u mod D = 0 means u = D, ramified.  In
+    characteristic 2 it is the absolute trace of w = f/h^2 mod u
     (fp.absolute_trace), ramified where u | h (fp.over_square returns
-    None).  All three run on int lists with the field's lookup tables, and
-    none builds a QuotientRing.
+    None).  All of them run on int lists with the field's lookup tables,
+    and none builds a QuotientRing.
     """
     F = model.field
     if F.p != 2:
-        return fp.quadratic_character(F, disc, u)
+        D, chars = disc
+        # a complete table (rows 0 .. deg D - 1) and deg u >= deg D
+        if len(chars) + 1 == len(D) <= len(u):
+            return fp.reciprocal_character(F, D, u, chars)
+        return fp.quadratic_character(F, D, u)
     w = fp.over_square(F, model.f, model.h, u)
     if w is None:
         return 0
@@ -265,7 +287,7 @@ def _affine_places(model: HyperellipticModel, disc, u, split: int) -> list:
         if not split:
             vs = (base_v,)
         else:
-            root = ring.sqrt(fp.mod(F, disc, u))
+            root = ring.sqrt(fp.mod(F, disc.poly, u))
             if root is None:
                 raise ConsistencyError(
                     f"f + h^2/4 has quadratic character 1 mod {u} but no "
@@ -291,9 +313,10 @@ def _list_places(table: PlaceTable, degree: int) -> tuple:
     """Every place of the given degree, in sort_key order: affine places
     over the split and ramified fibers of that degree, inert places over
     the inert fibers of half of it, and the infinite place in degree 1.
-    The fiber classes are read from the table's record."""
+    The fiber classes and the discriminant are read from the table's
+    record."""
     model = table.model
-    disc = _discriminant(model)
+    disc = table.disc
     found = [Place("infinite", None, None, 1)] if degree == 1 else []
     for u, split in zip(*table.fibers[degree - 1]):
         if split >= 0:
@@ -313,14 +336,25 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
 
     N_d comes from the irreducible sieve plus one square-class test per
     fiber (_fiber_class), the only one: the table records each class, and
-    listing reads it from there.  No square root is taken here.  Before the
-    table is returned, sum over d | m of d * N_d is compared with a_m =
-    |X(F_(q^m))| for every m <= max_degree.  For m <= max(g, 1) the a_m are
-    counted by exhaustion over x (count_points); they fix L(T), and every
-    deeper a_m is read from that L.  So each degree is compared with a
-    value the tally did not produce: shallow degrees with exhaustion, deep
-    degrees with the L that exhaustion determines.  A depth whose sieve
-    exceeds the work bound is refused before any sieving.
+    listing reads it from there.  No square root is taken here.  For odd q
+    and a depth of at least deg D = 2g + 1 (D = f + h^2/4), Jacobi symbols
+    are computed only for the fibers below deg D.  Their classes also fill
+    the table of (m / D) over the monic m of degree < deg D: an
+    irreducible m of degree e gets (-1)^(e (q-1)/2) times the class of its
+    fiber, by reciprocity, and a composite the product of its factors'
+    entries, written by the sieve's walk (fp.extend_multiplicative).  The
+    fibers from degree deg D up are then decided by reciprocity from that
+    table (see _fiber_class).
+
+    Before the table is returned, sum over d | m of d * N_d is compared
+    with a_m = |X(F_(q^m))| for every m <= max_degree.  For m <= max(g, 1)
+    the a_m are counted by exhaustion over x (count_points); they fix L(T),
+    and every deeper a_m is read from that L.  So each degree is compared
+    with a value the tally did not produce: shallow degrees with
+    exhaustion, deep degrees with the L that exhaustion determines.  A
+    depth whose sieve exceeds the work bound is refused before any
+    sieving; that bound also covers the character table, whose rows hold
+    q^e < q^max_degree entries.
     """
     if max_degree < 1:
         raise ValueError("place table depth must be >= 1")
@@ -329,6 +363,10 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
     for d in range(1, max_degree + 1):
         fp.check_candidates(F, d, capacity)
     disc = _discriminant(model)
+    # the table of (m / D), only for a depth that reaches deg D = 2g + 1
+    n = 2 * g + 1 if disc is not None and 2 * g < max_degree else 0
+    if n:
+        disc.chars.append([1])
     fibers = []
     tally = [0] * (max_degree + 1)
     tally[1] = 1  # the infinite place
@@ -336,6 +374,10 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
         irreducibles = fp.monic_irreducibles(F, d, capacity=capacity)
         classes = tuple(_fiber_class(model, disc, u) for u in irreducibles)
         fibers.append((irreducibles, classes))
+        if d < n:
+            flip = (F.order - 1) // 2 * d & 1  # deg D is odd
+            fp.extend_multiplicative(F, disc.chars, irreducibles,
+                                     [-c for c in classes] if flip else classes)
         tally[d] += 2 * classes.count(1) + classes.count(0)
         if 2 * d <= max_degree:
             tally[2 * d] += classes.count(-1)
@@ -356,7 +398,8 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
                 f"(from {source})")
     table = PlaceTable(model=model, max_degree=max_degree,
                        place_counts=tuple(tally[1:]),
-                       point_counts=tuple(counts), fibers=tuple(fibers))
+                       point_counts=tuple(counts), fibers=tuple(fibers),
+                       disc=disc)
     # List the degrees the strata read, and degree 1 at every genus, so
     # that each table runs the root extraction against the square-class
     # test at least once.

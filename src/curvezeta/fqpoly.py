@@ -243,7 +243,8 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
     the walk keeps the product's digits and key and updates both at the
     nonzero digits of that vector, at most (a + 1) k a step
     (_mark_products).  The same walk serves every field, characteristic 2
-    included.  No step multiplies polynomials or re-encodes a key.
+    included, and also fills the tables of extend_multiplicative.  No step
+    multiplies polynomials or re-encodes a key.
     """
     if degree < 1:
         raise ValueError("irreducible polynomials have degree >= 1")
@@ -258,8 +259,9 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
             continue
         composite = bytearray(q ** d)
         for a in range(1, d // 2 + 1):
+            marks = b"\x01" * q ** (d - a)
             for p_low in F._irreducibles[a]:
-                _mark_products(F, composite, p_low, d - a)
+                _mark_products(F, composite, p_low, d - a, marks)
         survivors = compress(range(q ** d), composite.translate(_UNMARKED))
         F._irreducibles[d] = tuple(decode_monic(F, value, d)
                                    for value in survivors)
@@ -269,13 +271,17 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
 _UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _mark_products(F, composite, p_low, m: int) -> None:
-    """Set composite[encode(p_low * other)] for every monic other of degree
-    m, walking other in odometer order (see monic_irreducibles).
+def _mark_products(F, composite, p_low, m: int, values) -> None:
+    """Set composite[key(p_low * other)] = values[key(other)] for every
+    monic other of degree m, where key is encode with the leading 1 left
+    out, walking other in odometer order (see monic_irreducibles).  The
+    sieve passes values of all 1; extend_multiplicative passes the products
+    f(p_low) f(other) of a multiplicative f.
 
-    Flat digit t = i k + s of other is coordinate s of its x^i coefficient.
-    The product's flat digits r < width = (m + deg p_low) k make up its
-    key, its leading 1 left out; digit r has weight p^r in the key.
+    Flat digit t = i k + s of other is coordinate s of its x^i coefficient,
+    so the odometer counts other's key up from 0, and the walk's step count
+    is that key.  The product's flat digits r < width = (m + deg p_low) k
+    make up its key; digit r has weight p^r in the key.
     """
     p, k = F.p, F.degree
     n = m * k
@@ -305,8 +311,8 @@ def _mark_products(F, composite, p_low, m: int) -> None:
              for t in range(n)]
     digits = [0] * n
     top = p - 1
-    composite[key] = 1
-    t = 0
+    composite[key] = values[0]
+    step = t = 0
     while True:  # step digit t; a wrap to 0 carries into digit t + 1
         for r, v, up, down in moves[t]:
             x = prod[r] + v
@@ -318,7 +324,8 @@ def _mark_products(F, composite, p_low, m: int) -> None:
                 key += down
         if digits[t] < top:
             digits[t] += 1
-            composite[key] = 1
+            step += 1
+            composite[key] = values[step]
             t = 0
         else:
             digits[t] = 0
@@ -398,21 +405,43 @@ def quadratic_character(F, a, u) -> int:
     is computed by Euclid's algorithm with polynomial quadratic reciprocity
     (Rosen, Number Theory in Function Fields, ch. 3): for coprime monic A
     and B, (A / B) = (-1)^(((q-1)/2) deg A deg B) (B / A), and a constant c
-    has (c / B) = chi(c)^(deg B), with chi the quadratic character of F_q.
-    No power is taken in F_q[x]/(u).
+    has (c / B) = chi(c)^(deg B), with chi the quadratic character of F_q,
+    so (c / B) = chi(c) for B of odd degree.  No power is taken in
+    F_q[x]/(u).  The symbol is completely multiplicative in a, so for a
+    fixed B a table of (m / B) over the monic m of degree < deg B fills from
+    its irreducible entries (extend_multiplicative), and then (B / u) for
+    any u of degree >= deg B is one reduction of u mod B and one lookup
+    (reciprocal_character).
 
     Each step reduces by a monic divisor and scales the remainder monic,
-    on int lists.  Over a prime field (_jacobi_mod_p) the coefficients
-    reduce mod p, lazily, and chi is Euler's criterion c^((p-1)/2).  Over
-    an extension field (_jacobi_zech) they multiply through log tables and
-    add by Zech logarithms (_tables), and chi(c) = -1 exactly when the log
-    of c is odd.
+    on int lists.  Over a prime field (_jacobi_mod_p, _rem_mod_p) the
+    coefficients reduce mod p, lazily, and chi is Euler's criterion
+    c^((p-1)/2).  Over an extension field (_jacobi_zech, _rem_zech) they
+    multiply through log tables and add by Zech logarithms (_tables), and
+    chi(c) = -1 exactly when the log of c is odd.
     """
     if F.p == 2:
         raise ValueError("quadratic_character needs odd characteristic")
     if F.degree == 1:
         return _jacobi_mod_p(F.p, list(a), u)
     return _jacobi_zech(F, list(a), u)
+
+
+def _rem_mod_p(p, a: list, b) -> list:
+    """a mod the monic b over the prime field F_p, trimmed; a, a list of
+    least residues, is consumed."""
+    nb = len(b) - 1
+    if len(a) > nb:
+        for top in range(len(a) - 1, nb - 1, -1):
+            c = a[top] % p
+            if c:
+                s = top - nb
+                for j in range(nb):
+                    a[s + j] -= c * b[j]
+        a = [x % p for x in a[:nb]]
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _jacobi_mod_p(p, a: list, b) -> int:
@@ -422,16 +451,7 @@ def _jacobi_mod_p(p, a: list, b) -> int:
     sign = 1
     while True:
         nb = len(b) - 1
-        if len(a) > nb:
-            for top in range(len(a) - 1, nb - 1, -1):
-                c = a[top] % p
-                if c:
-                    s = top - nb
-                    for j in range(nb):
-                        a[s + j] -= c * b[j]
-            a = [x % p for x in a[:nb]]
-        while a and not a[-1]:
-            a.pop()
+        a = _rem_mod_p(p, a, b)
         if not nb:
             return sign
         if not a:
@@ -447,32 +467,40 @@ def _jacobi_mod_p(p, a: list, b) -> int:
         a, b = list(b), a
 
 
+def _rem_zech(log, exp, zech, a: list, b) -> list:
+    """a mod the monic b over an odd extension field, trimmed, through the
+    tables of _tables; a is consumed."""
+    n = len(log) - 1
+    nb = len(b) - 1
+    if len(a) > nb:
+        # logs of the nonzero -b_j; -1 = g^(n/2)
+        neg_b = [(j, (log[c] + n // 2) % n) for j, c in enumerate(b[:-1]) if c]
+        for top in range(len(a) - 1, nb - 1, -1):
+            c = a[top]
+            if c:
+                lc, s = log[c], top - nb
+                for j, lb in neg_b:
+                    y = a[s + j]
+                    if y:
+                        ly = log[y]
+                        a[s + j] = exp[ly + zech[lc + lb - ly]]
+                    else:
+                        a[s + j] = exp[lc + lb]
+        a = a[:nb]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
 def _jacobi_zech(F, a: list, b) -> int:
     """quadratic_character over an odd extension field; a is consumed."""
     log, exp, zech = _tables(F)
     n = F.order - 1
-    half = n // 2
-    flip = half & 1
+    flip = n // 2 & 1
     sign = 1
     while True:
         nb = len(b) - 1
-        if len(a) > nb:
-            # logs of the nonzero -b_j; -1 = g^half
-            neg_b = [(j, (log[c] + half) % n) for j, c in enumerate(b[:-1]) if c]
-            for top in range(len(a) - 1, nb - 1, -1):
-                c = a[top]
-                if c:
-                    lc, s = log[c], top - nb
-                    for j, lb in neg_b:
-                        y = a[s + j]
-                        if y:
-                            ly = log[y]
-                            a[s + j] = exp[ly + zech[lc + lb - ly]]
-                        else:
-                            a[s + j] = exp[lc + lb]
-            a = a[:nb]
-        while a and not a[-1]:
-            a.pop()
+        a = _rem_zech(log, exp, zech, a, b)
         if not nb:
             return sign
         if not a:
@@ -487,6 +515,72 @@ def _jacobi_zech(F, a: list, b) -> int:
         if flip and nb & 1 and not len(a) & 1:
             sign = -sign
         a, b = list(b), a
+
+
+def extend_multiplicative(F, table, irreducibles, values) -> None:
+    """Append row e = len(table) to the table of a completely multiplicative
+    function f on monic polynomials, where table[e][key] is f of the monic
+    of degree e whose coefficients below the leading 1 have that key
+    (encode).  Needs table[0] = [1], the rows below e, the monic
+    irreducibles of degree e (sieved by monic_irreducibles, in its order)
+    and f on them (values).
+
+    Each composite m of degree e is p_low * other for a monic irreducible
+    p_low of degree a <= e/2, and f(m) = f(p_low) f(other) is written by the
+    sieve's own odometer walk (_mark_products), which reads f(other) from
+    row e - a by its step count.  A zero f(p_low) zeroes all its multiples.
+    """
+    e = len(table)
+    row = [0] * F.order ** e
+    for a in range(1, e // 2 + 1):
+        others = table[e - a]
+        for p_low in F._irreducibles[a]:
+            v = table[a][encode(F, p_low[:-1])]
+            _mark_products(F, row, p_low, e - a, [v * w for w in others])
+    for u, v in zip(irreducibles, values):
+        row[encode(F, u[:-1])] = v
+    table.append(row)
+
+
+def reciprocal_character(F, b, u, table) -> int:
+    """The Jacobi symbol (b / u) for monic b and u over F_q, q odd, from
+    table[e][key] = (m / b) over the monic m of degree e < deg b
+    (extend_multiplicative keys them).  For deg u >= deg b this is one
+    reduction and one lookup in place of quadratic_character's Euclid.
+
+    By reciprocity (see quadratic_character),
+    (b / u) = (-1)^(((q-1)/2) deg b deg u) (u / b), and (u / b) = (r / b)
+    for r = u mod b.  That is 0 when r = 0; otherwise r = c m with c its
+    leading coefficient and m monic, and (r / b) = chi(c)^(deg b) (m / b).
+    The reduction runs on the kernels of quadratic_character.
+    """
+    if F.degree == 1:
+        p = F.p
+        r = _rem_mod_p(p, list(u), b)
+        if not r:
+            return 0
+        c = r.pop()
+        inv = pow(c, -1, p)
+        key = 0
+        for x in reversed(r):
+            key = key * p + x * inv % p
+        nonsquare = pow(c, (p - 1) // 2, p) != 1
+    else:
+        log, exp, zech = _tables(F)
+        r = _rem_zech(log, exp, zech, list(u), b)
+        if not r:
+            return 0
+        lc = log[r.pop()]
+        q, inv = F.order, F.order - 1 - lc
+        key = 0
+        for x in reversed(r):
+            key = key * q + exp[log[x] + inv]
+        nonsquare = lc & 1
+    s = table[len(r)][key]
+    # the sign is ((-1)^(((q-1)/2) deg u) chi(c))^(deg b)
+    if (len(b) - 1) & 1 and ((F.order - 1) // 2 * (len(u) - 1) + nonsquare) & 1:
+        return -s
+    return s
 
 
 def over_square(F, a, b, u):

@@ -331,6 +331,90 @@ def test_each_fiber_is_classified_once(monkeypatch, text):
                                   for d in range(1, depth + 1))
 
 
+# (spec, base change, depth beyond 2g + 2): q = 3 mod 4, where the
+# reciprocity sign flips at odd degrees; q = 1 mod 4; an irreducible
+# f + h^2/4, whose own fiber at degree 2g + 1 is ramified; x | f; h != 0;
+# F_9, given and base-changed; genus 0; and a depth of 2g + 5
+JACOBI_CURVES = [
+    ("p=3; f=x^7+x+1", 1, 0),
+    ("p=7; f=x^5+x+3", 1, 0),
+    ("p=5; f=x^5+x+1", 1, 0),
+    ("p=13; f=x^3+2", 1, 0),
+    ("p=3; f=x^3+2*x+1", 1, 3),
+    ("p=5; f=x^5+4*x+1", 1, 0),
+    ("p=3; f=x^5+x^2+2*x", 1, 0),
+    ("p=5; f=x^5+x; h=x+2", 1, 0),
+    ("p=3; k=2; f=x^3+5*x^2+x+7", 1, 0),
+    ("p=3; f=x^3+x", 2, 0),
+    ("p=7; f=x", 1, 0),
+]
+
+
+@pytest.mark.parametrize("text,m,extra", JACOBI_CURVES)
+def test_fiber_classes_match_the_jacobi_symbol_at_every_degree(text, m,
+                                                               extra):
+    model = base_change(build(text), m)
+    F = model.field
+    n = 2 * model.genus + 1
+    table = enumerate_places(model, n + 1 + extra)
+    D, chars = table.disc
+    assert fp.deg(D) == n and len(chars) == n
+    ramified = []
+    for irreducibles, classes in table.fibers:
+        assert len(irreducibles) == len(classes)
+        for u, split in zip(irreducibles, classes):
+            assert split == fp.quadratic_character(F, D, u), (text, u)
+            if split == 0 and fp.deg(u) >= n:
+                ramified.append(u)
+    # from degree 2g + 1 up only D itself can ramify
+    assert ramified == ([D] if fp.is_irreducible(F, D) else [])
+
+
+@pytest.mark.parametrize("text,m", [
+    ("p=3; f=x^5+x^2+2*x", 1), ("p=3; f=x^7+x+1", 1), ("p=5; f=x^5+x", 1),
+    ("p=5; f=x^5+x; h=x+2", 1), ("p=3; k=2; f=x^3+5*x^2+x+7", 1),
+    ("p=3; f=x^3+x", 2)])
+def test_character_table_matches_the_jacobi_symbol(text, m):
+    model = base_change(build(text), m)
+    F = model.field
+    D, chars = enumerate_places(model, 2 * model.genus + 1).disc
+    assert len(chars) == fp.deg(D)
+    for e, row in enumerate(chars):
+        assert len(row) == F.order ** e
+        for key, value in enumerate(row):
+            monic = fp.decode_monic(F, key, e)
+            assert value == fp.quadratic_character(F, monic, D), (text, monic)
+    # where x | D, the multiples of the ramified x are 0 in every row
+    if not D[0]:
+        assert all(row[key] == 0 for row in chars[1:]
+                   for key in range(0, len(row), F.order))
+
+
+@pytest.mark.parametrize("text,m,calls", [
+    ("p=3; f=x^7+x+1", 1, 196), ("p=3; f=x^3+x", 2, 45)])
+def test_jacobi_symbols_only_below_the_discriminant_degree(monkeypatch,
+                                                           text, m, calls):
+    model = base_change(build(text), m)
+    n = 2 * model.genus + 1
+    real = fp.quadratic_character
+    asked = []
+
+    def spy(F, a, u):
+        asked.append(u)
+        return real(F, a, u)
+
+    monkeypatch.setattr(fp, "quadratic_character", spy)
+    table = enumerate_places(model, n + 1)
+    assert len(asked) == calls == sum(len(table.fibers[d - 1][0])
+                                      for d in range(1, n))
+    assert len(set(asked)) == len(asked)
+    # a table that stops short of degree 2g + 1 builds no character table
+    asked.clear()
+    shallow = enumerate_places(model, n - 1)
+    assert shallow.disc.chars == []
+    assert len(asked) == calls
+
+
 def reference_class(model, u):
     """The square class of the fiber over u from powers in F_q[x]/(u):
     Euler's criterion on f + h^2/4 for odd q; in characteristic 2, 0 where
