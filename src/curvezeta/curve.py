@@ -200,8 +200,8 @@ class PlaceTable:
     # fibers[d - 1] = (the monic irreducibles u of degree d, as
     # fp.monic_irreducibles returns them, and the _fiber_class of each u)
     fibers: tuple = dataclass_field(compare=False, repr=False)
-    # the Discriminant the classes were decided with (None in
-    # characteristic 2)
+    # the record the classes were decided with: a Discriminant for odd q,
+    # a SplitFraction in characteristic 2 (see _discriminant)
     disc: object = dataclass_field(compare=False, repr=False)
     # degree -> tuple[Place, ...], for the degrees listed so far
     by_degree: dict = dataclass_field(default_factory=dict, compare=False,
@@ -237,12 +237,27 @@ class Discriminant(NamedTuple):
     chars: list
 
 
+class SplitFraction(NamedTuple):
+    """f / h^2 = quot + rem / square for a characteristic-2 model, with
+    square = h^2, deg rem < deg square and inv_lead = 1 / lc(square): the
+    record fp.residue_trace reads.  memo holds the part of the trace that
+    the residues at the roots of h contribute, per residue class of u mod
+    square, filled as fibers are classed."""
+    quot: tuple
+    rem: tuple
+    square: tuple
+    inv_lead: int
+    memo: dict
+
+
 def _discriminant(model: HyperellipticModel):
-    """The Discriminant of an odd-q model, with no table; None in
-    characteristic 2."""
+    """The Discriminant of an odd-q model, with no table, or the
+    SplitFraction of a characteristic-2 model, with an empty memo."""
     F = model.field
     if F.p == 2:
-        return None
+        square = fp.mul(F, model.h, model.h)
+        quot, rem = fp.divmod_(F, model.f, square)
+        return SplitFraction(quot, rem, square, F.inv(square[-1]), {})
     return Discriminant(fp.add(F, model.f, fp.scale(
         F, F.inv(4 % F.p), fp.mul(F, model.h, model.h))), [])
 
@@ -258,10 +273,13 @@ def _fiber_class(model: HyperellipticModel, disc, u) -> int:
     (m / D) for u of degree d, where u mod D = c m with m monic, chi is the
     quadratic character of F_q and (m / D) is read from the table
     (fp.reciprocal_character); u mod D = 0 means u = D, ramified.  In
-    characteristic 2 it is the absolute trace of w = f/h^2 mod u
-    (fp.absolute_trace), ramified where u | h (fp.over_square returns
-    None).  All of them run on int lists with the field's lookup tables,
-    and none builds a QuotientRing.
+    characteristic 2 it is the absolute trace of f/h^2 mod u, ramified
+    where u | h.  With f = P h^2 + R (disc, a SplitFraction),
+    fp.residue_trace takes it as the trace of sum_j P_j s_j(u), from the
+    power sums of u's roots, plus a term that the residue theorem moves to
+    the roots of h and that disc.memo keeps per class of u mod h^2; no
+    inverse mod u is taken.  All of them run on int lists with the field's
+    lookup tables, and none builds a QuotientRing.
     """
     F = model.field
     if F.p != 2:
@@ -270,10 +288,10 @@ def _fiber_class(model: HyperellipticModel, disc, u) -> int:
         if len(chars) + 1 == len(D) <= len(u):
             return fp.reciprocal_character(F, D, u, chars)
         return fp.quadratic_character(F, D, u)
-    w = fp.over_square(F, model.f, model.h, u)
-    if w is None:
+    trace = fp.residue_trace(F, disc, u)
+    if trace is None:
         return 0
-    return 1 - 2 * fp.absolute_trace(F, w, u)
+    return 1 - 2 * trace
 
 
 def _affine_places(model: HyperellipticModel, disc, u, split: int) -> list:
@@ -344,7 +362,11 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
     fiber, by reciprocity, and a composite the product of its factors'
     entries, written by the sieve's walk (fp.extend_multiplicative).  The
     fibers from degree deg D up are then decided by reciprocity from that
-    table (see _fiber_class).
+    table (see _fiber_class).  In characteristic 2, with f = P h^2 + R,
+    each fiber's class is the absolute trace of sum_j P_j s_j(u), from the
+    power sums of the roots of u, plus a term that depends only on u mod
+    h^2 and is computed once per residue class; no fiber takes an inverse
+    mod u.
 
     Before the table is returned, sum over d | m of d * N_d is compared
     with a_m = |X(F_(q^m))| for every m <= max_degree.  For m <= max(g, 1)
@@ -364,7 +386,7 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
         fp.check_candidates(F, d, capacity)
     disc = _discriminant(model)
     # the table of (m / D), only for a depth that reaches deg D = 2g + 1
-    n = 2 * g + 1 if disc is not None and 2 * g < max_degree else 0
+    n = 2 * g + 1 if F.p != 2 and 2 * g < max_degree else 0
     if n:
         disc.chars.append([1])
     fibers = []

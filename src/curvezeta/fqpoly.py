@@ -8,7 +8,7 @@ base field of a curve and the big fields used for point counting.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, product
 
 from .errors import CapacityError
 from .finitefield import DEFAULT_CAPACITY, tonelli_sqrt
@@ -244,7 +244,8 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
     nonzero digits of that vector, at most (a + 1) k a step
     (_mark_products).  The same walk serves every field, characteristic 2
     included, and also fills the tables of extend_multiplicative.  No step
-    multiplies polynomials or re-encodes a key.
+    multiplies polynomials or re-encodes a key.  Each survivor's tuple is
+    joined from two tables, of its low d//2 coefficients and of the rest.
     """
     if degree < 1:
         raise ValueError("irreducible polynomials have degree >= 1")
@@ -263,7 +264,13 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
             for p_low in F._irreducibles[a]:
                 _mark_products(F, composite, p_low, d - a, marks)
         survivors = compress(range(q ** d), composite.translate(_UNMARKED))
-        F._irreducibles[d] = tuple(decode_monic(F, value, d)
+        # a key's low d//2 coefficients are its residue mod Q, the rest
+        # (and the leading 1) its quotient
+        half = d // 2
+        Q = q ** half
+        lo = [c[::-1] for c in product(range(q), repeat=half)]
+        hi = [c[::-1] + (1,) for c in product(range(q), repeat=d - half)]
+        F._irreducibles[d] = tuple(lo[value % Q] + hi[value // Q]
                                    for value in survivors)
     return F._irreducibles[degree]
 
@@ -583,22 +590,63 @@ def reciprocal_character(F, b, u, table) -> int:
     return s
 
 
-def over_square(F, a, b, u):
-    """a / b^2 mod u for monic irreducible u in characteristic 2, as a
-    polynomial of degree < deg u; None when u divides b.
+def residue_trace(F, frac, u):
+    """The absolute trace of a / b^2 mod u as the int 0 or 1, for monic
+    irreducible u in characteristic 2; None when u divides b.  frac is
+    (quot, rem, square, inv_lead, memo): a = quot * square + rem with
+    square = b^2, deg rem < deg square, inv_lead = 1 / lc(square), and memo
+    a dict this kernel fills, one entry per residue class mod square.
 
-    The inverse of b comes from an extended Euclid that keeps only b's
-    cofactor; squaring it maps each coefficient c at x^i to c^2 at x^(2i).
-    All steps run on int lists through the log tables of _tables.
+    The trace to F_q sums a/b^2 over the roots of u.  quot sums to
+    sum_j quot_j s_j(u), with the power sums of absolute_trace, j > deg u
+    included.  The roots of u are the poles of rem u' / (u square) with
+    residue rem/square there, so by the residue theorem on P^1
+    (Stichtenoth, Algebraic Function Fields and Codes, ch. 4) they sum to
+    the residues at infinity, 0 as deg rem < deg square, and at the roots
+    of b, which see only r = u mod square: as square' = 0, u' = r' there.
+    Those sum to [x^(deg square - 1)] (rem r' r^-1 mod square) / lc(square),
+    computed once per r (_inverse2); r is not invertible exactly when u | b.
+    So a fiber costs one reduction mod square and one lookup, and nothing
+    is reduced or inverted mod u.
     """
     if F.p != 2:
-        raise ValueError("over_square is only provided in characteristic 2")
-    log, exp, _ = _tables(F)
-    b = _divmod2(log, exp, list(b), u)[1]
-    if not b:
-        return None
-    # r0 = s0 * b and r1 = s1 * b mod u throughout
-    r0, r1, s0, s1 = list(u), b, [], [1]
+        raise ValueError("residue_trace is only provided in characteristic 2")
+    quot, rem, square, inv_lead, memo = frac
+    log, exp, mask = _tables(F)
+    t = 0
+    if len(square) > 1:
+        r = _divmod2(log, exp, list(u), square)[1]
+        key = tuple(r)
+        t = memo.get(key)
+        if t is None:
+            t = memo[key] = _residue_at_roots(log, exp, r, rem, square,
+                                              inv_lead)
+        if t < 0:
+            return None
+    t ^= _trace_to_fq(log, exp, quot, u)
+    return (t & mask).bit_count() & 1
+
+
+def _residue_at_roots(log, exp, r, rem, square, inv_lead) -> int:
+    """[x^(m-1)] (rem r' r^-1 mod square) * inv_lead, m = deg square, for
+    the residue r of residue_trace; -1 when r is not invertible."""
+    inverse = _inverse2(log, exp, r, square)
+    if inverse is None:
+        return -1
+    deriv = [0] * (len(r) - 1)
+    deriv[::2] = r[1::2]  # r' in characteristic 2
+    g = _divmod2(log, exp, _mul2(log, exp, rem, deriv), square)[1]
+    g = _divmod2(log, exp, _mul2(log, exp, g, inverse), square)[1]
+    m = len(square) - 1
+    return exp[log[g[m - 1]] + log[inv_lead]] if len(g) == m else 0
+
+
+def _inverse2(log, exp, b, m) -> list | None:
+    """The inverse of b mod m in characteristic 2, or None when gcd(b, m)
+    is not 1; deg b < deg m.  An extended Euclid that keeps only b's
+    cofactor, on int lists through the tables of _tables."""
+    # r0 = s0 * b and r1 = s1 * b mod m throughout
+    r0, r1, s0, s1 = list(m), list(b), [], [1]
     while len(r1) > 1:
         quot, rem = _divmod2(log, exp, r0, r1)
         s2 = _mul2(log, exp, quot, s1)
@@ -608,14 +656,9 @@ def over_square(F, a, b, u):
             s2.pop()
         r0, r1, s0, s1 = r1, rem, s1, s2
     if not r1:
-        raise ZeroDivisionError("b is not invertible mod u")
+        return None
     inv_c = len(log) - 1 - log[r1[0]]
-    inverse = [exp[log[c] + inv_c] for c in s1]
-    square = [0] * (2 * len(inverse) - 1)
-    square[::2] = [exp[2 * log[c]] for c in inverse]
-    square = _divmod2(log, exp, square, u)[1]
-    a = _divmod2(log, exp, list(a), u)[1]
-    return tuple(_divmod2(log, exp, _mul2(log, exp, a, square), u)[1])
+    return [exp[log[c] + inv_c] for c in s1]
 
 
 def _mul2(log, exp, a, b) -> list:
@@ -636,29 +679,37 @@ def absolute_trace(F, a, u) -> int:
     """The trace of a from F_q[x]/(u) down to F_2, as the int 0 or 1, for
     monic irreducible u in characteristic 2.
 
-    The trace down to F_q is sum_i a_i s_i, where s_i is the i-th power sum
-    of the roots of u, read off u's coefficients by Newton's identities;
+    The trace down to F_q is sum_j a_j s_j for a reduced mod u, with s_j the
+    power sums of the roots of u (_trace_to_fq, which residue_trace shares);
     the absolute trace of F_q takes it the rest of the way (Lidl and
     Niederreiter, Finite Fields, ch. 2), as the parity of the coordinates
-    that _tables masks.  z^2 + z = a is solvable exactly when this trace is
-    0.
+    that _tables masks.  z^2 + z = a is solvable exactly when it is 0.
     """
     if F.p != 2:
         raise ValueError("absolute_trace is only provided in characteristic 2")
     log, exp, mask = _tables(F)
     a = _divmod2(log, exp, list(a), u)[1]
+    return (_trace_to_fq(log, exp, a, u) & mask).bit_count() & 1
+
+
+def _trace_to_fq(log, exp, a, u) -> int:
+    """sum_j a_j s_j, the sum of a over the roots of the monic u, in
+    characteristic 2 and for any deg a; s_j is the j-th power sum of the
+    roots.  By Newton's identities, with u = sum_i c_i x^i of degree d,
+    s_k = sum_(0<i<=min(k,d)) c_(d-i) s_(k-i) + (k - d) c_(d-k) [k <= d],
+    where s_0 = d."""
     d = len(u) - 1
-    # s_k = k c_(d-k) + sum_(i<k) c_(d-i) s_(k-i), signs dropped in char 2
-    sums = [d % 2]
+    logs_c = [log[c] for c in reversed(u[:-1])]  # c_(d-1), ..., c_0
+    logs_s = [log[d & 1]]
+    t = exp[log[a[0]] + logs_s[0]] if a else 0
     for k in range(1, len(a)):
-        acc = u[d - k] if k % 2 else 0
-        for i in range(1, k):
-            acc ^= exp[log[u[d - i]] + log[sums[k - i]]]
-        sums.append(acc)
-    t = 0
-    for coeff, s in zip(a, sums):
-        t ^= exp[log[coeff] + log[s]]
-    return (t & mask).bit_count() & 1
+        acc = u[d - k] if k <= d and (k ^ d) & 1 else 0
+        for lc, ls in zip(logs_c, reversed(logs_s)):
+            acc ^= exp[lc + ls]
+        ls = log[acc]
+        logs_s.append(ls)
+        t ^= exp[log[a[k]] + ls]
+    return t
 
 
 class QuotientRing:

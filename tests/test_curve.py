@@ -463,6 +463,62 @@ def test_fiber_class_matches_powers_in_the_residue_field(text, ramified):
         assert classes[ramified] == 0
 
 
+# (spec, base change): h constant, so deg P = 2g + 1 exceeds the degree of
+# most fibers; a repeated factor of h; a non-monic h over F_8; and F_4 by
+# base change
+CHAR2_CURVES = [
+    ("p=2; f=x^11+x+1; h=1", 1),
+    ("p=2; f=x^7+x; h=x^3", 1),
+    ("p=2; k=3; f=x^3+4*x^2+4*x; h=7*x+2", 1),
+    ("p=2; f=x^5+x^4+x^3; h=1", 2),
+]
+
+
+@pytest.mark.parametrize("text,m", CHAR2_CURVES)
+def test_char2_fiber_classes_match_powers_at_every_degree(text, m):
+    model = base_change(build(text), m)
+    table = enumerate_places(model, 2 * model.genus + 2)
+    seen = set()
+    for irreducibles, classes in table.fibers:
+        for u, split in zip(irreducibles, classes):
+            assert split == reference_class(model, u), (text, u)
+        seen.update(classes)
+    assert {1, -1} <= seen
+
+
+@pytest.mark.parametrize("text,m", CHAR2_CURVES[1:] + [
+    ("p=2; f=x^9+x^3+1; h=x^2+x", 1)])
+def test_char2_classes_invert_only_mod_h_squared(monkeypatch, text, m):
+    import curvezeta.curve as curvemod
+    model = base_change(build(text), m)
+    F = model.field
+    square = fp.mul(F, model.h, model.h)
+    real = fp._inverse2
+    inverted = []
+
+    def spy(log, exp, b, mod):
+        inverted.append((tuple(b), tuple(mod)))
+        return real(log, exp, b, mod)
+
+    monkeypatch.setattr(fp, "_inverse2", spy)
+    table = enumerate_places(model, 2 * model.genus + 2)
+    # one inverse mod h^2 per residue class of the fibers mod h^2, none for
+    # a constant h
+    residues = [b for b, mod in inverted if mod == square]
+    assert len(residues) == len(inverted) == len(table.disc.memo)
+    assert len(set(residues)) == len(residues) <= F.order ** fp.deg(square)
+    assert bool(residues) == (fp.deg(square) > 0)
+    # the class tests alone take no inverse mod u: xgcd, which
+    # QuotientRing.inv calls, is never reached
+    monkeypatch.setattr(fp, "xgcd", None)
+    inverted.clear()
+    disc = curvemod._discriminant(model)
+    for irreducibles, classes in table.fibers:
+        for u, split in zip(irreducibles, classes):
+            assert curvemod._fiber_class(model, disc, u) == split
+    assert sorted(inverted) == sorted((b, square) for b in residues)
+
+
 def test_places_refuses_degrees_beyond_the_table_depth(worked_elliptic):
     table = enumerate_places(worked_elliptic, 4)
     assert table.places(4)
@@ -498,6 +554,6 @@ def test_square_class_disagreement_is_reported(monkeypatch):
     with pytest.raises(ConsistencyError):
         enumerate_places(odd, 1)
     even = build("p=2; f=x^3+0*x+1; h=1")
-    monkeypatch.setattr(fp, "absolute_trace", lambda F, a, u: 0)
+    monkeypatch.setattr(fp, "residue_trace", lambda F, frac, u: 0)
     with pytest.raises(ConsistencyError):
         enumerate_places(even, 1)

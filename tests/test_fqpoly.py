@@ -282,3 +282,33 @@ def test_absolute_trace_decides_artin_schreier(k, max_d):
 def test_absolute_trace_rejects_odd_characteristic():
     with pytest.raises(ValueError):
         fp.absolute_trace(extension_field(3), (1,), (1, 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_residue_trace_is_the_trace_of_the_fraction(k):
+    F = extension_field(2, k)
+    q = F.order
+    # b constant, with a repeated factor, and not monic
+    for b in ((q - 1,), (0, 0, 1), (1, 1, 0, 1), (1, q - 1)):
+        square = fp.mul(F, b, b)
+        for seed in range(4):
+            # a of degree 2 deg b + 6: its polynomial part outgrows deg u
+            a = fp.trim([(7 * seed + 3 * i * i + 1) % q
+                         for i in range(2 * len(b) + 4)] + [1])
+            quot, rem = fp.divmod_(F, a, square)
+            frac = (quot, rem, square, F.inv(square[-1]), {})
+            for d in (1, 2, 3):
+                for u in fp.monic_irreducibles(F, d)[:4]:
+                    ring = fp.QuotientRing(F, u)
+                    bbar = ring.reduce(b)
+                    got = fp.residue_trace(F, frac, u)
+                    if not bbar:
+                        assert got is None
+                        continue
+                    w = ring.mul(ring.reduce(a), ring.inv(ring.mul(bbar, bbar)))
+                    assert got == fp.absolute_trace(F, w, u), (k, b, a, u)
+
+
+def test_residue_trace_rejects_odd_characteristic():
+    with pytest.raises(ValueError):
+        fp.residue_trace(extension_field(3), ((1,), (), (1,), 1, {}), (1, 1))
