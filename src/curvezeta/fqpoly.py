@@ -598,12 +598,13 @@ def residue_trace(F, frac, u):
     a dict this kernel fills, one entry per residue class mod square.
 
     The trace to F_q sums a/b^2 over the roots of u.  quot sums to
-    sum_j quot_j s_j(u), with the power sums of absolute_trace, j > deg u
-    included.  The roots of u are the poles of rem u' / (u square) with
-    residue rem/square there, so by the residue theorem on P^1
-    (Stichtenoth, Algebraic Function Fields and Codes, ch. 4) they sum to
-    the residues at infinity, 0 as deg rem < deg square, and at the roots
-    of b, which see only r = u mod square: as square' = 0, u' = r' there.
+    sum_j quot_j s_j(u), with s_j the power sums of the roots of u
+    (_trace_to_fq), j > deg u included.  The roots of u are the poles of
+    rem u' / (u square) with residue rem/square there, so by the residue
+    theorem on P^1 (Stichtenoth, Algebraic Function Fields and Codes,
+    ch. 4) they sum to the residues at infinity, 0 as deg rem < deg square,
+    and at the roots of b, which see only r = u mod square: as
+    square' = 0, u' = r' there.
     Those sum to [x^(deg square - 1)] (rem r' r^-1 mod square) / lc(square),
     computed once per r (_inverse2); r is not invertible exactly when u | b.
     So a fiber costs one reduction mod square and one lookup, and nothing
@@ -673,23 +674,6 @@ def _mul2(log, exp, a, b) -> list:
             for j, lb in enumerate(logs_b):
                 out[i + j] ^= exp[lc + lb]
     return out
-
-
-def absolute_trace(F, a, u) -> int:
-    """The trace of a from F_q[x]/(u) down to F_2, as the int 0 or 1, for
-    monic irreducible u in characteristic 2.
-
-    The trace down to F_q is sum_j a_j s_j for a reduced mod u, with s_j the
-    power sums of the roots of u (_trace_to_fq, which residue_trace shares);
-    the absolute trace of F_q takes it the rest of the way (Lidl and
-    Niederreiter, Finite Fields, ch. 2), as the parity of the coordinates
-    that _tables masks.  z^2 + z = a is solvable exactly when it is 0.
-    """
-    if F.p != 2:
-        raise ValueError("absolute_trace is only provided in characteristic 2")
-    log, exp, mask = _tables(F)
-    a = _divmod2(log, exp, list(a), u)[1]
-    return (_trace_to_fq(log, exp, a, u) & mask).bit_count() & 1
 
 
 def _trace_to_fq(log, exp, a, u) -> int:

@@ -47,7 +47,7 @@ from math import lcm
 from . import fqpoly as fp
 from .errors import OracleUnsupportedError
 from .finitefield import extension_field, is_prime
-from .ratpoly import BiPoly, RationalPoly, format_poly, poly_gcd
+from .ratpoly import BiPoly, RationalPoly, format_poly, poly_gcd, quotient
 from .zetatwo import ClauseResult
 
 
@@ -156,14 +156,15 @@ def _rank(rows: list, bound: int | None = None) -> int:
 def _rank_mod_prime(rows: list, limit: int) -> int:
     """Rank mod _PRIME of an integer matrix, or limit if that is smaller.
 
-    Each row is packed into one int with a slot of `width` bytes per column,
-    column 0 lowest, so eliminating a column is one big-int update
-    row + f * pivot_row per row.  A slot is reduced mod the prime only when
-    it is read as a pivot candidate or its row becomes the pivot row, whose
-    slots are then all reduced.  Every slot starts below p and gains less
-    than p^2 per pivot, over at most #cols pivots, so it stays below
-    (#cols + 1) p^2, which the slot width holds.  After each column every
-    row shifts right by one slot, dropping the column just eliminated."""
+    Each row is packed from its nonzero entries into one int with a slot of
+    `width` bytes per column, column 0 lowest, so eliminating a column is
+    one big-int update row + f * pivot_row per row.  A slot is reduced mod
+    the prime only when it is read as a pivot candidate or its row becomes
+    the pivot row, whose slots are then all reduced.  Every slot starts
+    below p and gains less than p^2 per pivot, over at most #cols pivots,
+    so it stays below (#cols + 1) p^2, which the slot width holds.  After
+    each column every row shifts right by one slot, dropping the column
+    just eliminated."""
     p = _PRIME
     ncols = len(rows[0]) if rows else 0
     width = (2 * p.bit_length() + ncols.bit_length() + 1 + 7) // 8
@@ -171,10 +172,10 @@ def _rank_mod_prime(rows: list, limit: int) -> int:
     mask = (1 << shift) - 1
 
     def pack(values):
-        return int.from_bytes(b"".join(v.to_bytes(width, "little")
-                                       for v in values), "little")
+        # reduced mod p; zero slots, most of a row, cost nothing
+        return sum(v % p << j * shift for j, v in enumerate(values) if v)
 
-    live = [pack([a % p for a in row]) for row in rows]
+    live = [pack(row) for row in rows]
     rank = 0
     for col in range(ncols):
         if rank == limit:
@@ -188,8 +189,8 @@ def _rank_mod_prime(rows: list, limit: int) -> int:
             scale = -pow(heads.pop(k), -1, p)
             packed = (live.pop(k) >> shift).to_bytes(
                 width * (ncols - col - 1), "little")
-            tail = pack([int.from_bytes(packed[i:i + width], "little")
-                         * scale % p for i in range(0, len(packed), width)])
+            tail = pack(int.from_bytes(packed[i:i + width], "little") * scale
+                        for i in range(0, len(packed), width))
             rank += 1
         # In place, so the packed matrix is never held twice.
         for i, v in enumerate(heads):
@@ -230,11 +231,11 @@ def _square_in_closure(disc: RationalPoly) -> bool:
         return False
     target = disc.monic()
     n = disc.degree // 2
-    s = [Fraction(0)] * n + [Fraction(1)]
+    s = [0] * n + [1]
     for k in range(n - 1, -1, -1):
         # the x^(n+k) coefficient of s^2 is 2 s_k plus known products
         known = sum(s[i] * s[n + k - i] for i in range(k + 1, n))
-        s[k] = (target.coeff(n + k) - known) / 2
+        s[k] = quotient(target.coeff(n + k) - known, 2)
     return RationalPoly(s) ** 2 == target
 
 
@@ -351,11 +352,11 @@ def analyze_irreducibility(P: BiPoly, genus: int,
     clauses = []
     rev = reversal(P)
     lead = rev.coeff_of_u(genus)
-    lead_ok = lead == RationalPoly((Fraction(1), Fraction(-1)))
+    lead_ok = lead == RationalPoly((1, -1))
     clauses.append(ClauseResult(
         "reversal leading coefficient", lead_ok,
         f"u^{genus} coefficient of T^{2 * genus} P(1/T, u) is {lead}"))
-    at_one = rev.eval_t(Fraction(1))
+    at_one = rev.eval_t(1)
     one_ok = at_one == RationalPoly.const(pic0)
     clauses.append(ClauseResult(
         "reversal value at T = 1", one_ok,

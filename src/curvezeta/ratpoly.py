@@ -1,12 +1,15 @@
 """Exact rational polynomial arithmetic.
 
-Two representations, both over fractions.Fraction:
+Two representations, both over the rationals:
 
   RationalPoly -- dense univariate, coefficient tuple, constant term first.
   BiPoly       -- dense bivariate, rows[i][j] = coefficient of T^i * u^j,
                   rectangular with trailing zero rows and columns trimmed.
 
-Everything is immutable and hashable; no floats anywhere.
+A stored coefficient is an int when it is integral and a fractions.Fraction
+otherwise, so integer-valued polynomials cost int arithmetic.  Every
+quotient of coefficients goes through quotient(), which never yields a
+float.  Everything is immutable and hashable; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -16,17 +19,39 @@ from fractions import Fraction
 from .errors import NotDivisibleError
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _coef(x):
+    """x as a stored coefficient: an int when integral, else a Fraction."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def quotient(a, b):
+    """a / b for rational a and b, exactly, as a stored coefficient; the
+    one division of coefficients, so that two ints never give a float."""
+    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+        return a // b
+    return _coef(Fraction(a) / b)
+
+
+def _power(base, e: int):
+    """base ** e for either polynomial class, by repeated squaring."""
+    out = type(base).const(1)
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
 
 
 class RationalPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [_coef(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -52,8 +77,8 @@ class RationalPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def coeff(self, i) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def coeff(self, i):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __eq__(self, other):
         if isinstance(other, RationalPoly):
@@ -88,7 +113,7 @@ class RationalPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return RationalPoly()
-        prod = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        prod = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -97,25 +122,17 @@ class RationalPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        out = RationalPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+    __pow__ = _power
 
     def __divmod__(self, other):
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        quot = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         dcs = other.coeffs
         while len(rem) >= len(dcs):
-            c = rem[-1] / dcs[-1]
+            c = quotient(rem[-1], dcs[-1])
             shift = len(rem) - len(dcs)
             if c:
                 quot[shift] = c
@@ -127,11 +144,12 @@ class RationalPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def evaluate(self, x) -> Fraction:
-        acc = Fraction(0)
+    def evaluate(self, x):
+        x = _coef(x)
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * _frac(x) + c
-        return acc
+            acc = acc * x + c
+        return _coef(acc)
 
     def derivative(self) -> "RationalPoly":
         return RationalPoly(tuple(i * self.coeffs[i]
@@ -141,7 +159,7 @@ class RationalPoly:
         if not self.coeffs or self.coeffs[-1] == 1:
             return self
         lead = self.coeffs[-1]
-        return RationalPoly(tuple(c / lead for c in self.coeffs))
+        return RationalPoly(tuple(quotient(c, lead) for c in self.coeffs))
 
     def __str__(self):
         return format_poly(self.coeffs, "T")
@@ -170,7 +188,7 @@ class BiPoly:
     __slots__ = ("rows",)
 
     def __init__(self, rows=()):
-        grid = [[_frac(c) for c in row] for row in rows]
+        grid = [[_coef(c) for c in row] for row in rows]
         height = len(grid)
         while height and not any(grid[height - 1]):
             height -= 1
@@ -178,8 +196,7 @@ class BiPoly:
         width = max((len(r) for r in grid), default=0)
         while width and not any(r[width - 1] if width <= len(r) else 0 for r in grid):
             width -= 1
-        norm = tuple(tuple((r[j] if j < len(r) else Fraction(0)) for j in range(width))
-                     for r in grid)
+        norm = tuple(tuple(r[:width]) + (0,) * (width - len(r)) for r in grid)
         object.__setattr__(self, "rows", norm)
 
     def __setattr__(self, *a):
@@ -203,14 +220,10 @@ class BiPoly:
             return cls()
         h = max(i for i, _ in terms) + 1
         w = max(j for _, j in terms) + 1
-        grid = [[Fraction(0)] * w for _ in range(h)]
+        grid = [[0] * w for _ in range(h)]
         for (i, j), c in terms.items():
-            grid[i][j] = _frac(c)
+            grid[i][j] = c
         return cls(grid)
-
-    @classmethod
-    def from_u_poly(cls, poly: RationalPoly) -> "BiPoly":
-        return cls((poly.coeffs,))
 
     def terms(self) -> dict:
         return {(i, j): c for i, row in enumerate(self.rows)
@@ -240,10 +253,10 @@ class BiPoly:
     def __hash__(self):
         return hash(self.rows)
 
-    def coeff(self, i: int, j: int) -> Fraction:
+    def coeff(self, i: int, j: int):
         if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
             return self.rows[i][j]
-        return Fraction(0)
+        return 0
 
     def coeff_of_t(self, i: int) -> RationalPoly:
         """The T^i coefficient, as a polynomial in u."""
@@ -285,7 +298,7 @@ class BiPoly:
             return BiPoly()
         h = len(self.rows) + len(other.rows) - 1
         w = len(self.rows[0]) + len(other.rows[0]) - 1
-        grid = [[Fraction(0)] * w for _ in range(h)]
+        grid = [[0] * w for _ in range(h)]
         for i, row in enumerate(self.rows):
             for j, a in enumerate(row):
                 if a:
@@ -297,30 +310,17 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        out = BiPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+    __pow__ = _power
 
     def eval_u(self, value) -> RationalPoly:
         """Substitute u = value, leaving a polynomial in T."""
-        v = _frac(value)
-        return RationalPoly(tuple(RationalPoly(row).evaluate(v) for row in self.rows))
+        return RationalPoly(tuple(RationalPoly(row).evaluate(value)
+                                  for row in self.rows))
 
     def eval_t(self, value) -> RationalPoly:
         """Substitute T = value, leaving a polynomial in u."""
-        v = _frac(value)
-        out = RationalPoly()
-        power = Fraction(1)
-        for row in self.rows:
-            out = out + RationalPoly(row) * power
-            power *= v
-        return out
+        return RationalPoly(tuple(RationalPoly(column).evaluate(value)
+                                  for column in zip(*self.rows)))
 
     def __str__(self):
         if not self.rows:
@@ -370,11 +370,11 @@ def bivariate_divmod(num: BiPoly, den: BiPoly) -> tuple[BiPoly, BiPoly]:
         lt = max(work)
         if lt[0] >= lt_den[0] and lt[1] >= lt_den[1]:
             shift = (lt[0] - lt_den[0], lt[1] - lt_den[1])
-            c = work[lt] / lc_den
-            quot[shift] = quot.get(shift, Fraction(0)) + c
+            c = quotient(work[lt], lc_den)
+            quot[shift] = quot.get(shift, 0) + c
             for (i, j), d in dterms.items():
                 key = (i + shift[0], j + shift[1])
-                val = work.get(key, Fraction(0)) - c * d
+                val = work.get(key, 0) - c * d
                 if val:
                     work[key] = val
                 else:
@@ -398,7 +398,7 @@ def format_poly(coeffs, var: str) -> str:
     """Human-readable polynomial text, constant term first in the input."""
     parts = []
     for i, c in enumerate(coeffs):
-        c = _frac(c)
+        c = _coef(c)
         if c == 0:
             continue
         if i == 0:

@@ -34,7 +34,8 @@ def _clause(c: zetatwo.ClauseResult) -> dict:
 
 
 def _numerator_section(numerator) -> dict:
-    coeffs = [list(numerator.coeff_of_t(i).coeffs)
+    # Fractions, so that the canonical JSON prints every one as a string
+    coeffs = [[Fraction(c) for c in numerator.coeff_of_t(i).coeffs]
               for i in range(numerator.t_degree + 1)]
     return {"coefficients": coeffs, "text": str(numerator)}
 

@@ -4,7 +4,9 @@ The oracle helpers here deliberately avoid the library under test: point
 counts come from double loops over small prime fields, irreducible-polynomial
 tallies from the Mobius formula, effective divisors from a listing one
 divisor at a time, and extension fields (where a test needs one) from
-throwaway coefficient-list arithmetic written inline.
+throwaway coefficient-list arithmetic written inline.  absolute_trace is
+the exception: the trace by reduction mod u, on fqpoly's table kernels, is
+the reference for the class test that never reduces mod u.
 """
 
 import random
@@ -12,6 +14,7 @@ import random
 import pytest
 
 from curvezeta import BiPoly, extension_field, parse_curve_spec, validate_model
+from curvezeta import fqpoly as fp
 from curvezeta.finitefield import tonelli_sqrt
 
 
@@ -50,6 +53,20 @@ def field_sqrt(F, a):
         # Squaring is a bijection; invert it by q/2 more squarings.
         return F.pow(a, F.order // 2)
     return tonelli_sqrt(F, a)
+
+
+def absolute_trace(F, a, u) -> int:
+    """The trace of a from F_q[x]/(u) down to F_2, as the int 0 or 1, for
+    monic irreducible u in characteristic 2; z^2 + z = a is solvable
+    exactly when it is 0.  The trace to F_q sums a mod u over the roots of
+    u (fqpoly._trace_to_fq); the absolute trace of F_q takes it the rest of
+    the way (Lidl and Niederreiter, Finite Fields, ch. 2), as the parity of
+    the coordinates that fqpoly._tables masks."""
+    if F.p != 2:
+        raise ValueError("absolute_trace is only provided in characteristic 2")
+    log, exp, mask = fp._tables(F)
+    a = fp._divmod2(log, exp, list(a), u)[1]
+    return (fp._trace_to_fq(log, exp, a, u) & mask).bit_count() & 1
 
 
 def mobius(n):

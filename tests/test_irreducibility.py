@@ -189,6 +189,8 @@ def _square_by_sqf_list(poly):
 @example(2, [(X ** 2 + 1, 2)])  # non-square constant times a square
 @example(-3, [(X - 2, 2), (X, 2), (X, 2)])
 @example(5, [(X ** 2 - 2, 1), (X + 1, 2)])
+@example(4, [(X + Fraction(1, 2), 2)])  # 4x^2 + 4x + 1: the root x + 1/2
+@example(9, [(X + Fraction(1, 3), 2), (X, 2)])
 def test_square_in_closure_matches_squarefree_decomposition(scalar, picks):
     poly = RationalPoly.const(scalar)
     for factor, exponent in picks:

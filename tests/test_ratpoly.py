@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 from curvezeta import BiPoly, RationalPoly
 from curvezeta.errors import NotDivisibleError
 from curvezeta.ratpoly import (bivariate_divmod, bivariate_exact_divide,
-                               format_poly, poly_gcd)
+                               format_poly, poly_gcd, quotient)
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# raw ints too, which the constructors must keep as they are
+scalars = st.one_of(st.integers(-4, 4), fracs)
 
 
 def rpolys(max_deg=4):
-    return st.lists(fracs, min_size=0, max_size=max_deg + 1).map(RationalPoly)
+    return st.lists(scalars, min_size=0, max_size=max_deg + 1).map(RationalPoly)
 
 
 @given(rpolys(), rpolys(), rpolys())
@@ -63,7 +65,7 @@ def test_evaluate_and_derivative():
 
 def bipolys():
     return st.dictionaries(
-        st.tuples(st.integers(0, 3), st.integers(0, 3)), fracs,
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), scalars,
         max_size=6).map(BiPoly.from_terms)
 
 
@@ -122,3 +124,34 @@ def test_bipoly_text():
     t, u = BiPoly.t(), BiPoly.u()
     p = 1 + (3 - u) * t + u * t ** 2
     assert str(p) == "1 + (3 - u)*T + u*T^2"
+
+
+def stored(c) -> bool:
+    """A stored coefficient is an int when integral, else a Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def all_stored(poly) -> bool:
+    rows = poly.rows if isinstance(poly, BiPoly) else (poly.coeffs,)
+    return all(stored(c) for row in rows for c in row)
+
+
+@given(rpolys(), rpolys(3), fracs, bipolys(), bipolys())
+def test_coefficients_are_ints_or_proper_fractions(a, b, x, p, d):
+    out = [a + b, a - b, a * b, a * x, a.monic(), poly_gcd(a, b),
+           p + d, p - d, p * d, p * x, p.eval_u(x), p.eval_t(x)]
+    if b:
+        out += divmod(a, b)
+    if d:
+        out += bivariate_divmod(p, d)
+    assert all(all_stored(poly) for poly in out)
+    assert stored(a.evaluate(x)) and stored(quotient(x, 3))
+
+
+def test_integer_division_gives_fractions_not_floats():
+    q, r = divmod(RationalPoly((1, 1)), RationalPoly((0, 2)))
+    assert q.coeffs == (Fraction(1, 2),) and type(q.coeffs[0]) is Fraction
+    assert r.coeffs == (1,) and type(r.coeffs[0]) is int
+    assert RationalPoly((1, 2)).monic().coeffs == (Fraction(1, 2), 1)
+    assert type(quotient(6, 3)) is int and quotient(1, 3) == Fraction(1, 3)
+    assert type(quotient(Fraction(3, 2), Fraction(1, 2))) is int

@@ -120,6 +120,16 @@ def test_fractions_serialize_as_strings():
     assert result.passed
 
 
+def test_rational_table_prints_every_coefficient_as_a_string():
+    table = parse_measure_table("g=1; pic0=3/2\n0 0 1/2\n0 1 1\n")
+    result = run_table_pipeline(table, with_timing=False)
+    assert result.passed
+    doc = json.loads(canonical_json(result.report))
+    assert doc["numerator"]["text"] == "1 + (1/2 - u)*T + u*T^2"
+    assert doc["numerator"]["coefficients"] == [["1"], ["1/2", "-1"],
+                                                ["0", "1"]]
+
+
 def test_table_pipeline_has_no_divisor_checks():
     table = parse_measure_table("g=1; pic0=0\n0 0 -1\n0 1 1\n")
     result = run_table_pipeline(table)
