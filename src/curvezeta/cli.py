@@ -59,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output to a file instead of stdout")
     common.add_argument("--max-work", type=_positive, default=DEFAULT_CAPACITY,
                         metavar="BOUND",
-                        help="enumeration budget (candidates per task)")
+                        help="enumeration budget (candidates per task); "
+                             "places are sieved to degree 2g, and a deeper "
+                             "degree only when its places are listed")
     common.add_argument("--no-timing", action="store_true",
                         help="omit timing metadata for reproducible output")
 

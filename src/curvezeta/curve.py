@@ -66,6 +66,18 @@ class HyperellipticModel:
         return (f"HyperellipticModel(genus {self.genus} over {self.field!r})")
 
 
+def _field_coeffs(field: FiniteField, coeffs, name: str) -> tuple:
+    """coeffs as trimmed field elements (see validate_model)."""
+    if field.degree == 1:
+        return fp.trim(c % field.p for c in coeffs)
+    for c in coeffs:
+        if not 0 <= c < field.order:
+            raise ModelShapeError(
+                f"coefficient {c} of {name} is not an element encoding "
+                f"0..{field.order - 1} of {field!r}")
+    return fp.trim(coeffs)
+
+
 def validate_model(field: FiniteField, f, h=()) -> HyperellipticModel:
     """Check the odd-degree shape and that the affine part is nonsingular.
 
@@ -78,9 +90,13 @@ def validate_model(field: FiniteField, f, h=()) -> HyperellipticModel:
     h'(x)^2 f(x) = f'(x)^2, squaring being injective.  So the model is
     singular exactly when h and f'^2 + h'^2 f share a root, certified by
     one gcd.
+
+    Coefficients are ints: over a prime field any int, reduced mod p; over
+    F_(p^k), k > 1, an element encoding in 0..q-1, and anything else is a
+    ModelShapeError.
     """
-    f = fp.trim(f)
-    h = fp.trim(h)
+    f = _field_coeffs(field, f, "f")
+    h = _field_coeffs(field, h, "h")
     d = fp.deg(f)
     if d < 1 or d % 2 == 0:
         raise ModelShapeError(f"f must have odd degree >= 1, got degree {d}")
@@ -184,24 +200,30 @@ class PlaceTable:
     """Place counts N_1 .. N_max_degree and point counts a_1 .. a_max_degree.
 
     a_m is counted by exhaustion for m <= max(g, 1) and read from the L(T)
-    those counts fix for deeper m (see enumerate_places).
+    those counts fix for deeper m; N_d past degree max(2g, 1) is read from
+    the same L (see enumerate_places).
 
     The places of a degree are listed the first time that degree is asked
     for, and kept: listing needs a square root (Tonelli) or an
     Artin-Schreier solution per split fiber, while the strata read places
     only up to degree 2g-2 and the Euler product reads only the counts.
-    Listing reads the fiber classes the tally recorded in fibers, and
-    decides none again.
+    Listing reads the fiber classes recorded in fibers and decides none
+    again.  A degree past max(2g, 1), which enumerate_places did not
+    sieve, is sieved and classed when it is listed, under the work bound
+    the table was built with, and its listing must hold count(d) places.
     """
     model: HyperellipticModel
     max_degree: int
     place_counts: tuple[int, ...]  # N_1 .. N_max_degree
     point_counts: tuple[int, ...]  # a_1 .. a_max_degree
-    # fibers[d - 1] = (the monic irreducibles u of degree d, as
-    # fp.monic_irreducibles returns them, and the _fiber_class of each u)
-    fibers: tuple = dataclass_field(compare=False, repr=False)
-    # the record the classes were decided with: a Discriminant for odd q,
-    # a SplitFraction in characteristic 2 (see _discriminant)
+    # the work bound of every sieve, deferred ones included
+    capacity: int = dataclass_field(compare=False, repr=False)
+    # fibers[d] = (the monic irreducibles u of degree d, as
+    # fp.monic_irreducibles returns them, and the _fiber_class of each u),
+    # for the degrees classed so far (_class_fibers)
+    fibers: dict = dataclass_field(compare=False, repr=False)
+    # the record the classes are decided with: D = f + h^2/4 for odd q, a
+    # SplitFraction in characteristic 2 (see _discriminant)
     disc: object = dataclass_field(compare=False, repr=False)
     # degree -> tuple[Place, ...], for the degrees listed so far
     by_degree: dict = dataclass_field(default_factory=dict, compare=False,
@@ -228,15 +250,6 @@ class PlaceTable:
         return self.place_counts[degree - 1]
 
 
-class Discriminant(NamedTuple):
-    """D = f + h^2/4 for odd q, monic of odd degree 2g + 1, whose square
-    class mod u decides the fiber over u; and chars, the rows of the table
-    chars[e][key] = (m / D) over the monic m of degree e < deg D that
-    enumerate_places fills (fp.extend_multiplicative), empty until then."""
-    poly: tuple
-    chars: list
-
-
 class SplitFraction(NamedTuple):
     """f / h^2 = quot + rem / square for a characteristic-2 model, with
     square = h^2, deg rem < deg square and inv_lead = 1 / lc(square): the
@@ -251,15 +264,15 @@ class SplitFraction(NamedTuple):
 
 
 def _discriminant(model: HyperellipticModel):
-    """The Discriminant of an odd-q model, with no table, or the
+    """D = f + h^2/4, monic of degree 2g + 1, for an odd-q model, or the
     SplitFraction of a characteristic-2 model, with an empty memo."""
     F = model.field
     if F.p == 2:
         square = fp.mul(F, model.h, model.h)
         quot, rem = fp.divmod_(F, model.f, square)
         return SplitFraction(quot, rem, square, F.inv(square[-1]), {})
-    return Discriminant(fp.add(F, model.f, fp.scale(
-        F, F.inv(4 % F.p), fp.mul(F, model.h, model.h))), [])
+    return fp.add(F, model.f, fp.scale(
+        F, F.inv(4 % F.p), fp.mul(F, model.h, model.h)))
 
 
 def _fiber_class(model: HyperellipticModel, disc, u) -> int:
@@ -267,31 +280,33 @@ def _fiber_class(model: HyperellipticModel, disc, u) -> int:
     affine places, ramifies into one, or stays inert.
 
     One square-class test decides it.  For odd q it is the Jacobi symbol
-    (D / u) of D = f + h^2/4 (disc.poly).  Below deg D = 2g + 1, and while
-    disc's table is short of deg D, fp.quadratic_character computes it.
-    From deg D up, reciprocity gives (D / u) = (-1)^(d (q-1)/2) chi(c)
-    (m / D) for u of degree d, where u mod D = c m with m monic, chi is the
-    quadratic character of F_q and (m / D) is read from the table
-    (fp.reciprocal_character); u mod D = 0 means u = D, ramified.  In
+    (D / u) of D = f + h^2/4 (disc), from fp.quadratic_character.  In
     characteristic 2 it is the absolute trace of f/h^2 mod u, ramified
     where u | h.  With f = P h^2 + R (disc, a SplitFraction),
     fp.residue_trace takes it as the trace of sum_j P_j s_j(u), from the
     power sums of u's roots, plus a term that the residue theorem moves to
     the roots of h and that disc.memo keeps per class of u mod h^2; no
-    inverse mod u is taken.  All of them run on int lists with the field's
-    lookup tables, and none builds a QuotientRing.
+    inverse mod u is taken.  Both run on int lists with the field's lookup
+    tables, and neither builds a QuotientRing.
     """
     F = model.field
     if F.p != 2:
-        D, chars = disc
-        # a complete table (rows 0 .. deg D - 1) and deg u >= deg D
-        if len(chars) + 1 == len(D) <= len(u):
-            return fp.reciprocal_character(F, D, u, chars)
-        return fp.quadratic_character(F, D, u)
+        return fp.quadratic_character(F, disc, u)
     trace = fp.residue_trace(F, disc, u)
     if trace is None:
         return 0
     return 1 - 2 * trace
+
+
+def _class_fibers(model: HyperellipticModel, disc, fibers: dict, d: int,
+                  capacity: int) -> tuple:
+    """fibers[d]: the monic irreducibles of degree d and the class of each
+    one's fiber, sieved and classed the first time degree d is asked for."""
+    if d not in fibers:
+        irreducibles = fp.monic_irreducibles(model.field, d, capacity=capacity)
+        fibers[d] = (irreducibles,
+                     tuple(_fiber_class(model, disc, u) for u in irreducibles))
+    return fibers[d]
 
 
 def _affine_places(model: HyperellipticModel, disc, u, split: int) -> list:
@@ -305,7 +320,7 @@ def _affine_places(model: HyperellipticModel, disc, u, split: int) -> list:
         if not split:
             vs = (base_v,)
         else:
-            root = ring.sqrt(fp.mod(F, disc.poly, u))
+            root = ring.sqrt(fp.mod(F, disc, u))
             if root is None:
                 raise ConsistencyError(
                     f"f + h^2/4 has quadratic character 1 mod {u} but no "
@@ -332,17 +347,25 @@ def _list_places(table: PlaceTable, degree: int) -> tuple:
     over the split and ramified fibers of that degree, inert places over
     the inert fibers of half of it, and the infinite place in degree 1.
     The fiber classes and the discriminant are read from the table's
-    record."""
+    record; a degree not classed yet is classed here (_class_fibers)."""
     model = table.model
     disc = table.disc
+
+    def fibers(d):
+        return zip(*_class_fibers(model, disc, table.fibers, d,
+                                  table.capacity))
+
     found = [Place("infinite", None, None, 1)] if degree == 1 else []
-    for u, split in zip(*table.fibers[degree - 1]):
+    for u, split in fibers(degree):
         if split >= 0:
             found += _affine_places(model, disc, u, split)
     if degree % 2 == 0:
         found += [Place("inert", u, None, degree)
-                  for u, split in zip(*table.fibers[degree // 2 - 1])
-                  if split < 0]
+                  for u, split in fibers(degree // 2) if split < 0]
+    if len(found) != table.count(degree):
+        raise ConsistencyError(
+            f"listed {len(found)} places of degree {degree}, but the table "
+            f"counts {table.count(degree)}")
     return tuple(sorted(found, key=lambda pl: pl.sort_key(model.field)))
 
 
@@ -352,54 +375,46 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
     the places of degree <= max(2g-2, 1), and those of any deeper degree
     listed when first asked for.
 
-    N_d comes from the irreducible sieve plus one square-class test per
-    fiber (_fiber_class), the only one: the table records each class, and
-    listing reads it from there.  No square root is taken here.  For odd q
-    and a depth of at least deg D = 2g + 1 (D = f + h^2/4), Jacobi symbols
-    are computed only for the fibers below deg D.  Their classes also fill
-    the table of (m / D) over the monic m of degree < deg D: an
-    irreducible m of degree e gets (-1)^(e (q-1)/2) times the class of its
-    fiber, by reciprocity, and a composite the product of its factors'
-    entries, written by the sieve's walk (fp.extend_multiplicative).  The
-    fibers from degree deg D up are then decided by reciprocity from that
-    table (see _fiber_class).  In characteristic 2, with f = P h^2 + R,
-    each fiber's class is the absolute trace of sum_j P_j s_j(u), from the
-    power sums of the roots of u, plus a term that depends only on u mod
-    h^2 and is computed once per residue class; no fiber takes an inverse
-    mod u.
+    Only the degrees d <= s = min(max_degree, max(2g, 1)) are sieved here.
+    Their N_d come from the irreducible sieve plus one square-class test
+    per fiber (_fiber_class), the only one: the table records each class,
+    and listing reads it from there.  No square root is taken here.  For
+    odd q the test is the Jacobi symbol of D = f + h^2/4 mod u.  In
+    characteristic 2, with f = P h^2 + R, it is the absolute trace of
+    sum_j P_j s_j(u), from the power sums of the roots of u, plus a term
+    that depends only on u mod h^2 and is computed once per residue class;
+    no fiber takes an inverse mod u.
 
-    Before the table is returned, sum over d | m of d * N_d is compared
-    with a_m = |X(F_(q^m))| for every m <= max_degree.  For m <= max(g, 1)
-    the a_m are counted by exhaustion over x (count_points); they fix L(T),
-    and every deeper a_m is read from that L.  So each degree is compared
-    with a value the tally did not produce: shallow degrees with
-    exhaustion, deep degrees with the L that exhaustion determines.  A
-    depth whose sieve exceeds the work bound is refused before any
-    sieving; that bound also covers the character table, whose rows hold
-    q^e < q^max_degree entries.
+    Then sum over d | m of d * N_d is compared with a_m = |X(F_(q^m))| for
+    every m <= s.  For m <= max(g, 1) the a_m are counted by exhaustion
+    over x (count_points); they fix L(T), and every deeper a_m is read
+    from that L.  So each sieved degree is compared with a value the tally
+    did not produce: shallow degrees with exhaustion, the degrees in
+    (g, 2g] with the L that exhaustion determines.  By the Euler product
+    L(T) = prod_u (1 - c(u) T^deg u)^-1 over the monic irreducibles u,
+    c(u) the class of the fiber over u (Rosen, Number Theory in Function
+    Fields, ch. 4), those comparisons are the coefficients of L; as
+    deg L = 2g, a degree past 2g tells nothing new.  So for d in
+    (s, max_degree], N_d = (a_d - sum over e | d, e < d of e N_e) / d,
+    which must be an integer no smaller than the inert places of degree d
+    already tallied.  Such a degree is sieved only when it is listed
+    (PlaceTable.places), and its listing must hold N_d places.  A depth
+    whose sieve to degree s exceeds the work bound is refused before any
+    sieving; a deeper degree is refused when it is listed.
     """
     if max_degree < 1:
         raise ValueError("place table depth must be >= 1")
     F = model.field
     g = model.genus
-    for d in range(1, max_degree + 1):
+    sieved = min(max_degree, max(2 * g, 1))
+    for d in range(1, sieved + 1):
         fp.check_candidates(F, d, capacity)
     disc = _discriminant(model)
-    # the table of (m / D), only for a depth that reaches deg D = 2g + 1
-    n = 2 * g + 1 if F.p != 2 and 2 * g < max_degree else 0
-    if n:
-        disc.chars.append([1])
-    fibers = []
+    fibers = {}
     tally = [0] * (max_degree + 1)
     tally[1] = 1  # the infinite place
-    for d in range(1, max_degree + 1):
-        irreducibles = fp.monic_irreducibles(F, d, capacity=capacity)
-        classes = tuple(_fiber_class(model, disc, u) for u in irreducibles)
-        fibers.append((irreducibles, classes))
-        if d < n:
-            flip = (F.order - 1) // 2 * d & 1  # deg D is odd
-            fp.extend_multiplicative(F, disc.chars, irreducibles,
-                                     [-c for c in classes] if flip else classes)
+    for d in range(1, sieved + 1):
+        classes = _class_fibers(model, disc, fibers, d, capacity)[1]
         tally[d] += 2 * classes.count(1) + classes.count(0)
         if 2 * d <= max_degree:
             tally[2 * d] += classes.count(-1)
@@ -410,7 +425,7 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
         lpoly = zetaone.lpolynomial_from_counts(counts, F.order, g)
         counts += zetaone.point_counts_from_lpolynomial(
             lpoly, max_degree)[exhausted:]
-    for m in range(1, max_degree + 1):
+    for m in range(1, sieved + 1):
         weighted = sum(d * tally[d] for d in range(1, m + 1) if m % d == 0)
         if weighted != counts[m - 1]:
             source = "exhaustion" if m <= exhausted else "L(T)"
@@ -418,10 +433,19 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
                 f"place table disagrees with point counts at degree {m}: "
                 f"sum d*N_d = {weighted} but |X(F_q^{m})| = {counts[m - 1]} "
                 f"(from {source})")
+    for d in range(sieved + 1, max_degree + 1):
+        rest = counts[d - 1] - sum(e * tally[e] for e in range(1, d)
+                                   if d % e == 0)
+        if rest % d or rest // d < tally[d]:
+            raise ConsistencyError(
+                f"L(T) gives no place count at degree {d}: "
+                f"(a_{d} - sum e*N_e) / {d} = {rest}/{d}, with "
+                f"{tally[d]} inert places already tallied")
+        tally[d] = rest // d
     table = PlaceTable(model=model, max_degree=max_degree,
                        place_counts=tuple(tally[1:]),
-                       point_counts=tuple(counts), fibers=tuple(fibers),
-                       disc=disc)
+                       point_counts=tuple(counts), capacity=capacity,
+                       fibers=fibers, disc=disc)
     # List the degrees the strata read, and degree 1 at every genus, so
     # that each table runs the root extraction against the square-class
     # test at least once.

@@ -126,8 +126,11 @@ def effective_divisor_count(place_table, n: int) -> int:
     """|X^(n)(F_q)| recomputed from the place table alone, as the Euler
     product over places: multisets of places with total degree n.
 
-    Independent of the L-polynomial route on purpose; the two are compared
-    in the verification layer.
+    Independent of the L-polynomial route on purpose for n <= 2g, where
+    every N_d is a sieved tally; the two are compared in the verification
+    layer.  Past 2g the table's N_d are read from L (see
+    curve.enumerate_places), so there the two routes agree by
+    construction.
     """
     if n < 0:
         raise ValueError("divisor degree must be nonnegative")

@@ -4,9 +4,12 @@ The oracle helpers here deliberately avoid the library under test: point
 counts come from double loops over small prime fields, irreducible-polynomial
 tallies from the Mobius formula, effective divisors from a listing one
 divisor at a time, and extension fields (where a test needs one) from
-throwaway coefficient-list arithmetic written inline.  absolute_trace is
-the exception: the trace by reduction mod u, on fqpoly's table kernels, is
+throwaway coefficient-list arithmetic written inline.  Two helpers are the
+exceptions.  absolute_trace reduces mod u on fqpoly's table kernels, as
 the reference for the class test that never reduces mod u.
+sieved_place_counts sieves and classes every degree with the library's
+own sieve and class test, as the reference for the place table, which
+reads the counts past degree 2g from L(T).
 """
 
 import random
@@ -67,6 +70,26 @@ def absolute_trace(F, a, u) -> int:
     log, exp, mask = fp._tables(F)
     a = fp._divmod2(log, exp, list(a), u)[1]
     return (fp._trace_to_fq(log, exp, a, u) & mask).bit_count() & 1
+
+
+def sieved_place_counts(model, depth):
+    """(N_1, ..., N_depth) with every degree sieved: the monic irreducibles
+    u of each degree from fqpoly.monic_irreducibles, and each fiber's
+    class from curve._fiber_class.  A split fiber gives two places of
+    degree deg u, a ramified one one, and an inert one a place of degree
+    2 deg u."""
+    from curvezeta import curve
+    disc = curve._discriminant(model)
+    tally = [0] * (depth + 1)
+    tally[1] = 1  # the infinite place
+    for d in range(1, depth + 1):
+        for u in fp.monic_irreducibles(model.field, d):
+            split = curve._fiber_class(model, disc, u)
+            if split >= 0:
+                tally[d] += 1 + split
+            elif 2 * d <= depth:
+                tally[2 * d] += 1
+    return tuple(tally[1:])
 
 
 def mobius(n):

@@ -138,6 +138,49 @@ def test_capacity_exit_3(capsys):
     assert "work bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["p=11; f=x^5+x+1", "p=13; f=x^5+x+2"])
+def test_default_work_bound_sieves_only_to_degree_2g(spec, capsys):
+    # genus 2: the sieve stops at degree 4 (11^4 and 13^4 candidates), and
+    # N_5, N_6 come from L(T); sieving degree 6 would need 11^6 or 13^6,
+    # above the default bound
+    assert main(["verify", "--spec", spec]) == 0
+    assert "verification: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec,error", [
+    ("p=2; f=x^3+x; h=2", "SingularCurveError"),      # h = 2 = 0 mod 2
+    ("p=3; k=2; f=x^3+10*x", "ModelShapeError"),      # 10 is not in F_9
+    ("p=3; k=2; f=x^3+x; h=9", "ModelShapeError"),
+])
+def test_out_of_field_coefficients_exit_2(spec, error, capsys):
+    assert main(["verify", "--spec", spec]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,f,h", [
+    ("p=3; f=4*x^3+x", "x^3+x", "0"),
+    ("p=3; f=x^3-x", "x^3+2*x", "0"),
+    ("p=5; f=x^5-7*x+11; h=-x", "x^5+3*x+1", "4*x"),
+])
+def test_prime_field_coefficients_are_reduced_mod_p(spec, f, h, capsys):
+    assert main(["analyze", "--spec", spec, "--format", "machine",
+                 "--no-timing"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["input"]["f"], report["input"]["h"]) == (f, h)
+
+
+def test_batch_reports_an_out_of_field_coefficient_per_line(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("p=3; k=2; f=x^3+10*x\np=2; f=x^3+x; h=2\n"
+                     "p=3; f=x^3-x\n")
+    assert main(["batch", str(batch)]) == 4
+    out = capsys.readouterr().out
+    assert "line 1: ERROR ModelShapeError" in out
+    assert "line 2: ERROR SingularCurveError" in out
+    assert "line 3: PASS p=3; f=x^3-x" in out
+    assert "3 curves: 1 passed, 0 failed, 2 errors" in out
+
+
 def test_corrupted_measure_table_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad_table.txt"
     # parses fine, but the zero-section constraint is violated
@@ -227,7 +270,7 @@ def test_import_leaves_sympy_unloaded():
     # sympy serves only the reference oracle, so startup must not pay for it
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, curvezeta.cli; assert 'sympy' not in sys.modules"],
+         "import sys, curvezeta.cli; sys.exit('sympy' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

@@ -10,7 +10,9 @@ from curvezeta import (base_change, count_points, enumerate_places,
 from curvezeta.errors import (CapacityError, ConsistencyError,
                               ModelShapeError, SingularCurveError)
 from curvezeta import fqpoly as fp
-from conftest import brute_point_count, corpus_specs, field_sqrt
+from curvezeta.finitefield import DEFAULT_CAPACITY
+from conftest import (brute_point_count, corpus_specs, field_sqrt,
+                      sieved_place_counts)
 
 
 def build(spec_text):
@@ -33,10 +35,22 @@ def test_genus_from_degree():
     ("p=5; f=x^3+5*x", SingularCurveError),   # f = x^3 mod 5
     ("p=2; f=x^3+x+1", SingularCurveError),   # h = 0 in characteristic 2
     ("p=2; f=x^5+x^4; h=x", SingularCurveError),
+    ("p=2; f=x^3+x; h=2", SingularCurveError),   # h = 2 = 0 mod 2
+    ("p=3; f=3*x^3+x^2", ModelShapeError),    # 3 x^3 = 0: even degree
+    ("p=3; k=2; f=x^3+10*x", ModelShapeError),  # 10 is not in F_9
+    ("p=3; k=2; f=x^3+x; h=-1", ModelShapeError),
 ])
 def test_model_rejections(text, error):
     with pytest.raises(error):
         build(text)
+
+
+def test_prime_field_coefficients_are_reduced_mod_p():
+    assert build("p=3; f=4*x^3+x") == build("p=3; f=x^3+x")
+    reduced = build("p=5; f=x^5-7*x+11; h=-x")
+    assert (reduced.f, reduced.h) == ((1, 3, 0, 0, 0, 1), (0, 4))
+    # over F_9 the encodings 0..8 are taken as they are
+    assert build("p=3; k=2; f=x^3+8*x").f == (0, 8, 0, 1)
 
 
 def test_whole_corpus_validates(corpus):
@@ -118,20 +132,49 @@ def test_deep_degrees_are_checked_against_the_l_polynomial(monkeypatch):
     model = build("p=5; f=x^5+x+1")
     g = model.genus
     real = curvemod._fiber_class
-    flipped = []
+    # the first and the last degree above the genus that is sieved
+    for degree in (g + 1, 2 * g):
+        flipped = []
 
-    def flip_one(model, disc, u):
-        split = real(model, disc, u)
-        if len(u) - 1 == g + 1 and not flipped:
-            flipped.append(u)
-            return -1 if split >= 0 else 1
-        return split
+        def flip_one(model, disc, u):
+            split = real(model, disc, u)
+            if len(u) - 1 == degree and not flipped:
+                flipped.append(u)
+                return -1 if split >= 0 else 1
+            return split
 
-    monkeypatch.setattr(curvemod, "_fiber_class", flip_one)
-    with pytest.raises(ConsistencyError,
-                       match=rf"at degree {g + 1}: .*\(from L\(T\)\)"):
-        enumerate_places(model, 2 * g + 2)
-    assert flipped
+        monkeypatch.setattr(curvemod, "_fiber_class", flip_one)
+        with pytest.raises(ConsistencyError,
+                           match=rf"at degree {degree}: .*\(from L\(T\)\)"):
+            enumerate_places(model, 2 * g + 2)
+        assert flipped
+
+
+def test_place_counts_past_2g_are_checked(monkeypatch):
+    import curvezeta.curve as curvemod
+    from curvezeta import zetaone
+    model = build("p=5; f=x^5+x+1")
+    g = model.genus
+    d = 2 * g + 2
+    table = enumerate_places(model, d)
+    inert = table.fibers[g + 1][1].count(-1)
+    assert inert
+    real = zetaone.point_counts_from_lpolynomial
+    # a_(2g+1) one too many gives no whole N_(2g+1); a_(2g+2) short by
+    # d (N_d - inert + 1) gives N_d = inert - 1, fewer places than the
+    # inert fibers of degree g + 1 already make
+    for m, shift in ((d - 1, 1), (d, -d * (table.count(d) - inert + 1))):
+
+        def shifted(lpoly, upto):
+            counts = real(lpoly, upto)
+            counts[m - 1] += shift
+            return counts
+
+        monkeypatch.setattr(curvemod.zetaone, "point_counts_from_lpolynomial",
+                            shifted)
+        with pytest.raises(ConsistencyError,
+                           match=rf"no place count at degree {m}"):
+            enumerate_places(model, d)
 
 
 def test_exhaustion_up_to_the_genus_only(monkeypatch):
@@ -331,10 +374,10 @@ def test_each_fiber_is_classified_once(monkeypatch, text):
                                   for d in range(1, depth + 1))
 
 
-# (spec, base change, depth beyond 2g + 2): q = 3 mod 4, where the
-# reciprocity sign flips at odd degrees; q = 1 mod 4; an irreducible
-# f + h^2/4, whose own fiber at degree 2g + 1 is ramified; x | f; h != 0;
-# F_9, given and base-changed; genus 0; and a depth of 2g + 5
+# (spec, base change, depth beyond 2g + 2): q = 3 mod 4 and q = 1 mod 4;
+# an irreducible f + h^2/4, whose own fiber at degree 2g + 1 is ramified;
+# x | f; h != 0; F_9, given and base-changed; genus 0; and a depth of
+# 2g + 5
 JACOBI_CURVES = [
     ("p=3; f=x^7+x+1", 1, 0),
     ("p=7; f=x^5+x+3", 1, 0),
@@ -353,14 +396,23 @@ JACOBI_CURVES = [
 @pytest.mark.parametrize("text,m,extra", JACOBI_CURVES)
 def test_fiber_classes_match_the_jacobi_symbol_at_every_degree(text, m,
                                                                extra):
+    import curvezeta.curve as curvemod
     model = base_change(build(text), m)
     F = model.field
     n = 2 * model.genus + 1
-    table = enumerate_places(model, n + 1 + extra)
-    D, chars = table.disc
-    assert fp.deg(D) == n and len(chars) == n
+    depth = n + 1 + extra
+    table = enumerate_places(model, depth)
+    D = table.disc
+    assert fp.deg(D) == n
+    # degrees past 2g are not classed until asked for
+    assert sorted(table.fibers) == list(range(1, max(n - 1, 1) + 1))
+    # class them as listing would, but without listing's square roots,
+    # which take many seconds over F_7 at degree 6
+    for d in range(1, depth + 1):
+        curvemod._class_fibers(model, D, table.fibers, d, table.capacity)
+    assert sorted(table.fibers) == list(range(1, depth + 1))
     ramified = []
-    for irreducibles, classes in table.fibers:
+    for irreducibles, classes in table.fibers.values():
         assert len(irreducibles) == len(classes)
         for u, split in zip(irreducibles, classes):
             assert split == fp.quadratic_character(F, D, u), (text, u)
@@ -371,23 +423,76 @@ def test_fiber_classes_match_the_jacobi_symbol_at_every_degree(text, m,
 
 
 @pytest.mark.parametrize("text,m", [
-    ("p=3; f=x^5+x^2+2*x", 1), ("p=3; f=x^7+x+1", 1), ("p=5; f=x^5+x", 1),
-    ("p=5; f=x^5+x; h=x+2", 1), ("p=3; k=2; f=x^3+5*x^2+x+7", 1),
-    ("p=3; f=x^3+x", 2)])
-def test_character_table_matches_the_jacobi_symbol(text, m):
+    ("p=3; f=x^7+x+1", 1), ("p=3; f=x^3+x", 2),
+    ("p=2; f=x^9+x^3+1; h=x^2+x", 1)])
+def test_no_fiber_past_2g_is_classed_until_listed(monkeypatch, text, m):
+    import curvezeta.curve as curvemod
     model = base_change(build(text), m)
-    F = model.field
-    D, chars = enumerate_places(model, 2 * model.genus + 1).disc
-    assert len(chars) == fp.deg(D)
-    for e, row in enumerate(chars):
-        assert len(row) == F.order ** e
-        for key, value in enumerate(row):
-            monic = fp.decode_monic(F, key, e)
-            assert value == fp.quadratic_character(F, monic, D), (text, monic)
-    # where x | D, the multiples of the ramified x are 0 in every row
-    if not D[0]:
-        assert all(row[key] == 0 for row in chars[1:]
-                   for key in range(0, len(row), F.order))
+    two_g = 2 * model.genus
+    real_class, real_sieve = curvemod._fiber_class, fp.monic_irreducibles
+    classed, sieved = [], []
+
+    def spy_class(model, disc, u):
+        classed.append(fp.deg(u))
+        return real_class(model, disc, u)
+
+    def spy_sieve(F, degree, **kwargs):
+        sieved.append(degree)
+        return real_sieve(F, degree, **kwargs)
+
+    monkeypatch.setattr(curvemod, "_fiber_class", spy_class)
+    monkeypatch.setattr(fp, "monic_irreducibles", spy_sieve)
+    table = enumerate_places(model, two_g + 2)
+    assert max(sieved) == max(classed) == two_g
+    assert sorted(table.fibers) == list(range(1, two_g + 1))
+    assert len(classed) == sum(len(real_sieve(model.field, d))
+                               for d in range(1, two_g + 1))
+    # listing degree 2g + 2 classes its own fibers; those of half of it,
+    # g + 1, were classed already
+    classed.clear()
+    places = table.places(two_g + 2)
+    assert set(classed) == {two_g + 2}
+    assert sorted(table.fibers) == list(range(1, two_g + 1)) + [two_g + 2]
+    assert len(places) == table.count(two_g + 2)
+
+
+def test_a_deep_listing_that_disagrees_with_the_count_is_refused(monkeypatch):
+    import curvezeta.curve as curvemod
+    model = build("p=5; f=x^5+x+1")
+    deep = 2 * model.genus + 1
+    table = enumerate_places(model, deep)
+    real = curvemod._fiber_class
+    flipped = []
+
+    def split_to_inert(model, disc, u):
+        split = real(model, disc, u)
+        if split == 1 and not flipped:
+            flipped.append(u)
+            return -1
+        return split
+
+    monkeypatch.setattr(curvemod, "_fiber_class", split_to_inert)
+    with pytest.raises(ConsistencyError,
+                       match=rf"listed {table.count(deep) - 2} places of "
+                             rf"degree {deep}, but the table counts "
+                             rf"{table.count(deep)}"):
+        table.places(deep)
+    assert fp.deg(flipped[0]) == deep
+
+
+def test_a_deep_degree_over_the_bound_is_refused_when_listed():
+    # genus 2: the table sieves degrees <= 4 (3^4 = 81 candidates) and
+    # reads N_5 and N_6 from L; listing degree 5 needs 3^5 = 243
+    model = build("p=3; f=x^5+2*x+1")
+    table = enumerate_places(model, 6, capacity=100)
+    assert table.count(5) and table.count(6)
+    assert table.places(4)
+    for degree in (5, 6):
+        with pytest.raises(CapacityError,
+                           match=rf"degree-{degree} polynomials .* "
+                                 rf"{3 ** degree} "):
+            table.places(degree)
+    assert sorted(table.by_degree) == [1, 2, 4]
 
 
 @pytest.mark.parametrize("text,m,calls", [
@@ -405,13 +510,12 @@ def test_jacobi_symbols_only_below_the_discriminant_degree(monkeypatch,
 
     monkeypatch.setattr(fp, "quadratic_character", spy)
     table = enumerate_places(model, n + 1)
-    assert len(asked) == calls == sum(len(table.fibers[d - 1][0])
+    assert len(asked) == calls == sum(len(table.fibers[d][0])
                                       for d in range(1, n))
     assert len(set(asked)) == len(asked)
-    # a table that stops short of degree 2g + 1 builds no character table
+    # a table that stops at degree 2g takes the same symbols
     asked.clear()
-    shallow = enumerate_places(model, n - 1)
-    assert shallow.disc.chars == []
+    enumerate_places(model, n - 1)
     assert len(asked) == calls
 
 
@@ -478,8 +582,9 @@ CHAR2_CURVES = [
 def test_char2_fiber_classes_match_powers_at_every_degree(text, m):
     model = base_change(build(text), m)
     table = enumerate_places(model, 2 * model.genus + 2)
+    list(table.all_places())
     seen = set()
-    for irreducibles, classes in table.fibers:
+    for irreducibles, classes in table.fibers.values():
         for u, split in zip(irreducibles, classes):
             assert split == reference_class(model, u), (text, u)
         seen.update(classes)
@@ -502,6 +607,7 @@ def test_char2_classes_invert_only_mod_h_squared(monkeypatch, text, m):
 
     monkeypatch.setattr(fp, "_inverse2", spy)
     table = enumerate_places(model, 2 * model.genus + 2)
+    list(table.all_places())
     # one inverse mod h^2 per residue class of the fibers mod h^2, none for
     # a constant h
     residues = [b for b, mod in inverted if mod == square]
@@ -513,10 +619,24 @@ def test_char2_classes_invert_only_mod_h_squared(monkeypatch, text, m):
     monkeypatch.setattr(fp, "xgcd", None)
     inverted.clear()
     disc = curvemod._discriminant(model)
-    for irreducibles, classes in table.fibers:
+    for irreducibles, classes in table.fibers.values():
         for u, split in zip(irreducibles, classes):
             assert curvemod._fiber_class(model, disc, u) == split
     assert sorted(inverted) == sorted((b, square) for b in residues)
+
+
+@pytest.mark.parametrize("text,m", [(text, m) for text, m, _ in JACOBI_CURVES]
+                         + CHAR2_CURVES)
+def test_place_counts_match_a_sieve_of_every_degree(text, m):
+    model = base_change(build(text), m)
+    g = model.genus
+    # the reference sieves every degree, so it is held to the work bound
+    depths = [depth for depth in (2 * g + 2, 2 * g + 5)
+              if model.field.order ** depth <= DEFAULT_CAPACITY]
+    assert depths[0] == 2 * g + 2
+    for depth in depths:
+        table = enumerate_places(model, depth)
+        assert table.place_counts == sieved_place_counts(model, depth), depth
 
 
 def test_places_refuses_degrees_beyond_the_table_depth(worked_elliptic):
