@@ -134,18 +134,19 @@ def gcd(F, a, b):
 
 
 def xgcd(F, a, b):
-    """(g, s, t) with g = s*a + t*b and g monic (or zero)."""
-    r0, r1 = trim(a), trim(b)
+    """(g, s, t) with g = s*a + t*b and g monic (or zero).  The loop
+    tracks s only; t is then the exact quotient (g - s*a) / b."""
+    a, b = trim(a), trim(b)
+    r0, r1 = a, b
     s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
     while r1:
         q, r = divmod_(F, r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, sub(F, s0, mul(F, q, s1))
-        t0, t1 = t1, sub(F, t0, mul(F, q, t1))
     if r0 and r0[-1] != 1:
         c = F.inv(r0[-1])
-        r0, s0, t0 = scale(F, c, r0), scale(F, c, s0), scale(F, c, t0)
+        r0, s0 = scale(F, c, r0), scale(F, c, s0)
+    t0 = divmod_(F, sub(F, r0, mul(F, s0, a)), b)[0] if b else ()
     return r0, s0, t0
 
 

@@ -9,8 +9,8 @@ returns the other operand for IDENTITY.
 A degree-n class (n >= 0) is the pair (U, V) of [D - n*infinity]; the
 strata bucket such pairs per degree in one walk of the effective divisors,
 one Cantor addition per divisor.  Most of those additions have an
-IDENTITY operand or coprime U's; add handles both without the full
-composition.
+IDENTITY operand, a degree-1 U (one affine point) or coprime U's; add
+handles all three without the full composition.
 """
 
 from __future__ import annotations
@@ -35,15 +35,43 @@ def _reduce(model: HyperellipticModel, u, v):
     F = model.field
     g = model.genus
     while fp.deg(u) > g:
-        num = fp.sub(F, model.f, fp.add(F, fp.mul(F, v, model.h), fp.mul(F, v, v)))
-        u_next, rem = fp.divmod_(F, num, u)
+        w = fp.add(F, v, model.h)
+        u_next, rem = fp.divmod_(F, fp.sub(F, model.f, fp.mul(F, v, w)), u)
         if rem:
             raise ConsistencyError(
                 f"reduction of ({u}, {v}) leaves remainder {rem}: not a Mumford pair")
-        u_next = fp.monic(F, u_next)
-        v = fp.mod(F, fp.neg(F, fp.add(F, model.h, v)), u_next)
-        u = u_next
+        u = fp.monic(F, u_next)
+        v = fp.mod(F, fp.neg(F, w), u)
     return (fp.monic(F, u), v)
+
+
+def _add_point(model: HyperellipticModel, point, rep):
+    """point + rep for a reduced pair point = (x - a, b), one affine point
+    (a, b), by scalars at x = a and no xgcd.  With w = u(a) for rep = (u, v):
+    w != 0 is the coprime case, v + c u with c = (b - v(a)) / w; otherwise
+    rep holds (a, b) or its conjugate, and s = b + v(a) + h(a) tells which.
+    s = 0: the point cancels its conjugate (or a ramified point doubles to
+    a fiber), leaving u / (x - a).  s != 0: the point doubles, and v + c u
+    with c = -t(a) / s, t = (v^2 + h v - f) / u, makes (x - a) u divide
+    v^2 + h v - f."""
+    F = model.field
+    a = F.neg(point[0][0])
+    b = point[1][0] if point[1] else 0
+    u, v = rep
+    w = fp.evaluate(F, u, a)
+    va = fp.evaluate(F, v, a)
+    if w:
+        c = F.mul(F.sub(b, va), F.inv(w))
+    else:
+        s = F.add(F.add(b, va), fp.evaluate(F, model.h, a))
+        if not s:
+            rest = fp.divmod_(F, u, point[0])[0]
+            return (rest, fp.mod(F, v, rest))
+        t = fp.divmod_(F, fp.sub(F, fp.mul(F, v, fp.add(F, v, model.h)),
+                                  model.f), u)[0]
+        c = F.neg(F.mul(fp.evaluate(F, t, a), F.inv(s)))
+    return _reduce(model, fp.mul(F, point[0], u),
+                   fp.add(F, v, fp.scale(F, c, u)))
 
 
 def add(model: HyperellipticModel, rep1, rep2):
@@ -52,7 +80,8 @@ def add(model: HyperellipticModel, rep1, rep2):
     Math. Comp. 48, 1987).
 
     Both operands must be reduced pairs, as this module returns them; then
-    IDENTITY + b = b, so an IDENTITY operand returns the other one.  For
+    IDENTITY + b = b, so an IDENTITY operand returns the other one.  An
+    operand with deg u = 1 is one affine point, added by _add_point.  For
     coprime u1, u2 the composition has d = 1: u = u1 u2, and v is the
     solution of degree < deg u of v = v1 mod u1, v = v2 mod u2, which is
     v1 + u1 ((v2 - v1) e1 mod u2) with e1 u1 = 1 mod u2 from the first
@@ -62,6 +91,10 @@ def add(model: HyperellipticModel, rep1, rep2):
         return rep2
     if rep2 == IDENTITY:
         return rep1
+    if len(rep1[0]) == 2:
+        return _add_point(model, rep1, rep2)
+    if len(rep2[0]) == 2:
+        return _add_point(model, rep2, rep1)
     F = model.field
     u1, v1 = rep1
     u2, v2 = rep2

@@ -109,20 +109,32 @@ def test_scalar_multiples(text):
 
 @pytest.mark.parametrize("text", CANTOR_CURVES)
 def test_add_matches_the_full_cantor_composition(text):
-    """add skips steps for an IDENTITY operand and for coprime u1, u2;
-    every pair of classes, so a + a, a + (-a) and IDENTITY on either side
-    among them, must give the full composition's reduced pair."""
+    """add skips steps for an IDENTITY operand, for a one-point operand
+    (deg u = 1) and for coprime u1, u2; every pair of classes, so a + a,
+    a + (-a) and IDENTITY on either side among them, must give the full
+    composition's reduced pair.  The one-point path must meet all three of
+    its cases: a coprime u, the conjugate point, and the same point."""
     model = build(text)
     F = model.field
     reps = enumerate_jacobian(model)
-    kinds = set()
+    kinds, point_cases = set(), set()
     for a in reps:
         assert negate(model, a) in reps
         for b in reps:
             assert add(model, a, b) == cantor_add(model, a, b)
             if IDENTITY not in (a, b):
                 kinds.add(fp.gcd(F, a[0], b[0]) == (1,))
+            if fp.deg(a[0]) == 1 and b != IDENTITY:
+                at_a = fp.mod(F, b[1], a[0])  # b's y-value over x = a
+                if fp.gcd(F, a[0], b[0]) == (1,):
+                    point_cases.add("coprime")
+                elif at_a == negate(model, a)[1]:
+                    point_cases.add("conjugate")  # a ramified point too
+                else:
+                    assert at_a == a[1]
+                    point_cases.add("same")
     assert kinds == {True, False}
+    assert point_cases == {"coprime", "same", "conjugate"}
 
 
 def test_enumeration_respects_capacity():
