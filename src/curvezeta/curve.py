@@ -16,7 +16,6 @@ monic irreducible u = u(x) below them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import NamedTuple
 
 from . import fqpoly as fp
 from . import zetaone
@@ -222,9 +221,9 @@ class PlaceTable:
     # fp.monic_irreducibles returns them, and the _fiber_class of each u),
     # for the degrees classed so far (_class_fibers)
     fibers: dict = dataclass_field(compare=False, repr=False)
-    # the record the classes are decided with: D = f + h^2/4 for odd q, a
-    # SplitFraction in characteristic 2 (see _discriminant)
-    disc: object = dataclass_field(compare=False, repr=False)
+    # the polynomial the classes are decided with: D = f + h^2/4 for odd
+    # q, h^2 in characteristic 2 (see _discriminant)
+    disc: tuple = dataclass_field(compare=False, repr=False)
     # degree -> tuple[Place, ...], for the degrees listed so far
     by_degree: dict = dataclass_field(default_factory=dict, compare=False,
                                       repr=False)
@@ -250,29 +249,15 @@ class PlaceTable:
         return self.place_counts[degree - 1]
 
 
-class SplitFraction(NamedTuple):
-    """f / h^2 = quot + rem / square for a characteristic-2 model, with
-    square = h^2, deg rem < deg square and inv_lead = 1 / lc(square): the
-    record fp.residue_trace reads.  memo holds the part of the trace that
-    the residues at the roots of h contribute, per residue class of u mod
-    square, filled as fibers are classed."""
-    quot: tuple
-    rem: tuple
-    square: tuple
-    inv_lead: int
-    memo: dict
-
-
 def _discriminant(model: HyperellipticModel):
-    """D = f + h^2/4, monic of degree 2g + 1, for an odd-q model, or the
-    SplitFraction of a characteristic-2 model, with an empty memo."""
+    """The polynomial the fiber classes are decided with: D = f + h^2/4,
+    monic of degree 2g + 1, for an odd-q model, and h^2 in characteristic
+    2."""
     F = model.field
+    square = fp.mul(F, model.h, model.h)
     if F.p == 2:
-        square = fp.mul(F, model.h, model.h)
-        quot, rem = fp.divmod_(F, model.f, square)
-        return SplitFraction(quot, rem, square, F.inv(square[-1]), {})
-    return fp.add(F, model.f, fp.scale(
-        F, F.inv(4 % F.p), fp.mul(F, model.h, model.h)))
+        return square
+    return fp.add(F, model.f, fp.scale(F, F.inv(4 % F.p), square))
 
 
 def _fiber_class(model: HyperellipticModel, disc, u) -> int:
@@ -281,18 +266,15 @@ def _fiber_class(model: HyperellipticModel, disc, u) -> int:
 
     One square-class test decides it.  For odd q it is the Jacobi symbol
     (D / u) of D = f + h^2/4 (disc), from fp.quadratic_character.  In
-    characteristic 2 it is the absolute trace of f/h^2 mod u, ramified
-    where u | h.  With f = P h^2 + R (disc, a SplitFraction),
-    fp.residue_trace takes it as the trace of sum_j P_j s_j(u), from the
-    power sums of u's roots, plus a term that the residue theorem moves to
-    the roots of h and that disc.memo keeps per class of u mod h^2; no
-    inverse mod u is taken.  Both run on int lists with the field's lookup
-    tables, and neither builds a QuotientRing.
+    characteristic 2 it is the absolute trace of f/h^2 mod u (disc = h^2),
+    from fp.fraction_trace, with one inverse of h^2 mod u; ramified where
+    u | h.  Both run on int lists with the field's lookup tables, and
+    neither builds a QuotientRing.
     """
     F = model.field
     if F.p != 2:
         return fp.quadratic_character(F, disc, u)
-    trace = fp.residue_trace(F, disc, u)
+    trace = fp.fraction_trace(F, model.f, disc, u)
     if trace is None:
         return 0
     return 1 - 2 * trace
@@ -380,10 +362,9 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
     per fiber (_fiber_class), the only one: the table records each class,
     and listing reads it from there.  No square root is taken here.  For
     odd q the test is the Jacobi symbol of D = f + h^2/4 mod u.  In
-    characteristic 2, with f = P h^2 + R, it is the absolute trace of
-    sum_j P_j s_j(u), from the power sums of the roots of u, plus a term
-    that depends only on u mod h^2 and is computed once per residue class;
-    no fiber takes an inverse mod u.
+    characteristic 2 it is the absolute trace of f/h^2 mod u, summed over
+    the roots of u by their power sums, with one inverse of h^2 mod u per
+    fiber.
 
     Then sum over d | m of d * N_d is compared with a_m = |X(F_(q^m))| for
     every m <= s.  For m <= max(g, 1) the a_m are counted by exhaustion

@@ -517,62 +517,36 @@ def _jacobi_zech(F, a: list, b) -> int:
         a, b = list(b), a
 
 
-def residue_trace(F, frac, u):
-    """The absolute trace of a / b^2 mod u as the int 0 or 1, for monic
-    irreducible u in characteristic 2; None when u divides b.  frac is
-    (quot, rem, square, inv_lead, memo): a = quot * square + rem with
-    square = b^2, deg rem < deg square, inv_lead = 1 / lc(square), and memo
-    a dict this kernel fills, one entry per residue class mod square.
+def fraction_trace(F, a, b, u):
+    """The absolute trace of a / b mod u as the int 0 or 1, for monic
+    irreducible u in characteristic 2; None when u divides b.
 
-    The trace to F_q sums a/b^2 over the roots of u.  quot sums to
-    sum_j quot_j s_j(u), with s_j the power sums of the roots of u
-    (_trace_to_fq), j > deg u included.  The roots of u are the poles of
-    rem u' / (u square) with residue rem/square there, so by the residue
-    theorem on P^1 (Stichtenoth, Algebraic Function Fields and Codes,
-    ch. 4) they sum to the residues at infinity, 0 as deg rem < deg square,
-    and at the roots of b, which see only r = u mod square: as
-    square' = 0, u' = r' there.
-    Those sum to [x^(deg square - 1)] (rem r' r^-1 mod square) / lc(square),
-    computed once per r (_inverse2); r is not invertible exactly when u | b.
-    So a fiber costs one reduction mod square and one lookup, and nothing
-    is reduced or inverted mod u.
+    r = b mod u is zero exactly when u | b.  Otherwise the trace to F_q
+    sums a r^-1 over the roots of u (_trace_to_fq), with r^-1 the one
+    inverse mod u (_inverse2).  As _trace_to_fq reads a polynomial of any
+    degree, a is first reduced mod u only when r is not a constant, so
+    that the product stays below degree 2 deg u - 1.  The absolute trace
+    of F_q takes the sum the rest of the way (Lidl and Niederreiter,
+    Finite Fields, ch. 2), as the parity of the coordinates that _tables
+    masks; z^2 + z = a / b mod u is solvable exactly when it is 0.
     """
     if F.p != 2:
-        raise ValueError("residue_trace is only provided in characteristic 2")
-    quot, rem, square, inv_lead, memo = frac
+        raise ValueError("fraction_trace is only provided in characteristic 2")
     log, exp, mask = _tables(F)
-    t = 0
-    if len(square) > 1:
-        r = _divmod2(log, exp, list(u), square)[1]
-        key = tuple(r)
-        t = memo.get(key)
-        if t is None:
-            t = memo[key] = _residue_at_roots(log, exp, r, rem, square,
-                                              inv_lead)
-        if t < 0:
-            return None
-    t ^= _trace_to_fq(log, exp, quot, u)
+    r = _divmod2(log, exp, list(b), u)[1]
+    if not r:
+        return None
+    if len(r) > 1:
+        a = _divmod2(log, exp, list(a), u)[1]
+    inverse = _inverse2(log, exp, r, u)
+    t = _trace_to_fq(log, exp, _mul2(log, exp, a, inverse), u)
     return (t & mask).bit_count() & 1
 
 
-def _residue_at_roots(log, exp, r, rem, square, inv_lead) -> int:
-    """[x^(m-1)] (rem r' r^-1 mod square) * inv_lead, m = deg square, for
-    the residue r of residue_trace; -1 when r is not invertible."""
-    inverse = _inverse2(log, exp, r, square)
-    if inverse is None:
-        return -1
-    deriv = [0] * (len(r) - 1)
-    deriv[::2] = r[1::2]  # r' in characteristic 2
-    g = _divmod2(log, exp, _mul2(log, exp, rem, deriv), square)[1]
-    g = _divmod2(log, exp, _mul2(log, exp, g, inverse), square)[1]
-    m = len(square) - 1
-    return exp[log[g[m - 1]] + log[inv_lead]] if len(g) == m else 0
-
-
-def _inverse2(log, exp, b, m) -> list | None:
-    """The inverse of b mod m in characteristic 2, or None when gcd(b, m)
-    is not 1; deg b < deg m.  An extended Euclid that keeps only b's
-    cofactor, on int lists through the tables of _tables."""
+def _inverse2(log, exp, b, m) -> list:
+    """The inverse of b mod m in characteristic 2, for deg b < deg m; a
+    ZeroDivisionError when gcd(b, m) is not 1.  An extended Euclid that
+    keeps only b's cofactor, on int lists through the tables of _tables."""
     # r0 = s0 * b and r1 = s1 * b mod m throughout
     r0, r1, s0, s1 = list(m), list(b), [], [1]
     while len(r1) > 1:
@@ -584,7 +558,7 @@ def _inverse2(log, exp, b, m) -> list | None:
             s2.pop()
         r0, r1, s0, s1 = r1, rem, s1, s2
     if not r1:
-        return None
+        raise ZeroDivisionError("b is not invertible mod m")
     inv_c = len(log) - 1 - log[r1[0]]
     return [exp[log[c] + inv_c] for c in s1]
 

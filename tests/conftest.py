@@ -5,8 +5,9 @@ counts come from double loops over small prime fields, irreducible-polynomial
 tallies from the Mobius formula, effective divisors from a listing one
 divisor at a time, and extension fields (where a test needs one) from
 throwaway coefficient-list arithmetic written inline.  Two helpers are the
-exceptions.  absolute_trace reduces mod u on fqpoly's table kernels, as
-the reference for the class test that never reduces mod u.
+exceptions.  absolute_trace sums over the roots of u on fqpoly's table
+kernels, as the reference for fqpoly.fraction_trace, which takes the
+trace of a fraction a / b without forming it in F_q[x]/(u).
 sieved_place_counts sieves and classes every degree with the library's
 own sieve and class test, as the reference for the place table, which
 reads the counts past degree 2g from L(T).

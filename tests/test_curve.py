@@ -578,6 +578,18 @@ CHAR2_CURVES = [
 ]
 
 
+@pytest.mark.parametrize("text,m",
+                         [(text, m) for text, m, _ in JACOBI_CURVES])
+def test_odd_fiber_classes_match_powers_at_every_sieved_degree(text, m):
+    model = base_change(build(text), m)
+    two_g = 2 * model.genus
+    table = enumerate_places(model, two_g + 2)
+    assert sorted(table.fibers) == list(range(1, max(two_g, 1) + 1))
+    for irreducibles, classes in table.fibers.values():
+        for u, split in zip(irreducibles, classes):
+            assert split == reference_class(model, u), (text, u)
+
+
 @pytest.mark.parametrize("text,m", CHAR2_CURVES)
 def test_char2_fiber_classes_match_powers_at_every_degree(text, m):
     model = base_change(build(text), m)
@@ -589,40 +601,6 @@ def test_char2_fiber_classes_match_powers_at_every_degree(text, m):
             assert split == reference_class(model, u), (text, u)
         seen.update(classes)
     assert {1, -1} <= seen
-
-
-@pytest.mark.parametrize("text,m", CHAR2_CURVES[1:] + [
-    ("p=2; f=x^9+x^3+1; h=x^2+x", 1)])
-def test_char2_classes_invert_only_mod_h_squared(monkeypatch, text, m):
-    import curvezeta.curve as curvemod
-    model = base_change(build(text), m)
-    F = model.field
-    square = fp.mul(F, model.h, model.h)
-    real = fp._inverse2
-    inverted = []
-
-    def spy(log, exp, b, mod):
-        inverted.append((tuple(b), tuple(mod)))
-        return real(log, exp, b, mod)
-
-    monkeypatch.setattr(fp, "_inverse2", spy)
-    table = enumerate_places(model, 2 * model.genus + 2)
-    list(table.all_places())
-    # one inverse mod h^2 per residue class of the fibers mod h^2, none for
-    # a constant h
-    residues = [b for b, mod in inverted if mod == square]
-    assert len(residues) == len(inverted) == len(table.disc.memo)
-    assert len(set(residues)) == len(residues) <= F.order ** fp.deg(square)
-    assert bool(residues) == (fp.deg(square) > 0)
-    # the class tests alone take no inverse mod u: xgcd, which
-    # QuotientRing.inv calls, is never reached
-    monkeypatch.setattr(fp, "xgcd", None)
-    inverted.clear()
-    disc = curvemod._discriminant(model)
-    for irreducibles, classes in table.fibers.values():
-        for u, split in zip(irreducibles, classes):
-            assert curvemod._fiber_class(model, disc, u) == split
-    assert sorted(inverted) == sorted((b, square) for b in residues)
 
 
 @pytest.mark.parametrize("text,m", [(text, m) for text, m, _ in JACOBI_CURVES]
@@ -674,6 +652,6 @@ def test_square_class_disagreement_is_reported(monkeypatch):
     with pytest.raises(ConsistencyError):
         enumerate_places(odd, 1)
     even = build("p=2; f=x^3+0*x+1; h=1")
-    monkeypatch.setattr(fp, "residue_trace", lambda F, frac, u: 0)
+    monkeypatch.setattr(fp, "fraction_trace", lambda F, a, b, u: 0)
     with pytest.raises(ConsistencyError):
         enumerate_places(even, 1)

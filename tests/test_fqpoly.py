@@ -286,23 +286,21 @@ def test_absolute_trace_rejects_odd_characteristic():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_residue_trace_is_the_trace_of_the_fraction(k):
+def test_fraction_trace_is_the_trace_of_the_fraction(k):
     F = extension_field(2, k)
     q = F.order
     # b constant, with a repeated factor, and not monic
     for b in ((q - 1,), (0, 0, 1), (1, 1, 0, 1), (1, q - 1)):
         square = fp.mul(F, b, b)
         for seed in range(4):
-            # a of degree 2 deg b + 6: its polynomial part outgrows deg u
+            # a of degree 2 deg b + 6: it outgrows deg u
             a = fp.trim([(7 * seed + 3 * i * i + 1) % q
                          for i in range(2 * len(b) + 4)] + [1])
-            quot, rem = fp.divmod_(F, a, square)
-            frac = (quot, rem, square, F.inv(square[-1]), {})
             for d in (1, 2, 3):
                 for u in fp.monic_irreducibles(F, d)[:4]:
                     ring = fp.QuotientRing(F, u)
                     bbar = ring.reduce(b)
-                    got = fp.residue_trace(F, frac, u)
+                    got = fp.fraction_trace(F, a, square, u)
                     if not bbar:
                         assert got is None
                         continue
@@ -310,6 +308,29 @@ def test_residue_trace_is_the_trace_of_the_fraction(k):
                     assert got == absolute_trace(F, w, u), (k, b, a, u)
 
 
-def test_residue_trace_rejects_odd_characteristic():
+def test_fraction_trace_reads_no_product_longer_than_a_or_twice_u(
+        monkeypatch):
+    # _trace_to_fq reads any degree, so reducing a mod u is a matter of
+    # cost: a constant b mod u scales a as it is, and any other b mod u
+    # has its inverse multiply a reduced a, below degree 2 deg u - 1
+    F = extension_field(2, 2)
+    a = (1, 2, 3) * 4 + (1,)
+    real = fp._trace_to_fq
+    lengths = []
+
+    def spy(log, exp, product, u):
+        lengths.append((len(product), len(u)))
+        return real(log, exp, product, u)
+
+    monkeypatch.setattr(fp, "_trace_to_fq", spy)
+    for b in ((3,), (1, 1, 1)):
+        for u in fp.monic_irreducibles(F, 3):
+            fp.fraction_trace(F, a, b, u)
+    assert len(lengths) == 2 * len(fp.monic_irreducibles(F, 3))
+    assert max(n for n, _ in lengths) == len(a)
+    assert all(n <= max(len(a), 2 * m - 3) for n, m in lengths)
+
+
+def test_fraction_trace_rejects_odd_characteristic():
     with pytest.raises(ValueError):
-        fp.residue_trace(extension_field(3), ((1,), (), (1,), 1, {}), (1, 1))
+        fp.fraction_trace(extension_field(3), (1,), (1,), (1, 1))
