@@ -192,10 +192,8 @@ def main(argv=None) -> int:
                "batch": _cmd_batch}[args.command]
     try:
         return handler(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # a file that cannot be read, or is not UTF-8 text, is an input error
+    except (*_INPUT_ERRORS, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

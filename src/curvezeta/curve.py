@@ -196,11 +196,12 @@ class Place:
 
 @dataclass(frozen=True)
 class PlaceTable:
-    """Place counts N_1 .. N_max_degree and point counts a_1 .. a_max_degree.
+    """Place counts N_1 .. N_max_degree, point counts a_1 .. a_max_degree
+    and the L(T) of the curve, the one source of its one-variable data.
 
-    a_m is counted by exhaustion for m <= max(g, 1) and read from the L(T)
-    those counts fix for deeper m; N_d past degree max(2g, 1) is read from
-    the same L (see enumerate_places).
+    a_m is counted by exhaustion for m <= max(g, 1); a_1 .. a_g fix L
+    (lpoly, None for a table shallower than the genus), and deeper a_m and
+    N_d past degree max(2g, 1) are read from it (see enumerate_places).
 
     The places of a degree are listed the first time that degree is asked
     for, and kept: listing needs a square root (Tonelli) or an
@@ -215,6 +216,7 @@ class PlaceTable:
     max_degree: int
     place_counts: tuple[int, ...]  # N_1 .. N_max_degree
     point_counts: tuple[int, ...]  # a_1 .. a_max_degree
+    lpoly: zetaone.LPolynomial | None  # L(T); None if max_degree < g
     # the work bound of every sieve, deferred ones included
     capacity: int = dataclass_field(compare=False, repr=False)
     # fibers[d] = (the monic irreducibles u of degree d, as
@@ -368,20 +370,21 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
 
     Then sum over d | m of d * N_d is compared with a_m = |X(F_(q^m))| for
     every m <= s.  For m <= max(g, 1) the a_m are counted by exhaustion
-    over x (count_points); they fix L(T), and every deeper a_m is read
-    from that L.  So each sieved degree is compared with a value the tally
-    did not produce: shallow degrees with exhaustion, the degrees in
-    (g, 2g] with the L that exhaustion determines.  By the Euler product
-    L(T) = prod_u (1 - c(u) T^deg u)^-1 over the monic irreducibles u,
-    c(u) the class of the fiber over u (Rosen, Number Theory in Function
-    Fields, ch. 4), those comparisons are the coefficients of L; as
-    deg L = 2g, a degree past 2g tells nothing new.  So for d in
-    (s, max_degree], N_d = (a_d - sum over e | d, e < d of e N_e) / d,
-    which must be an integer no smaller than the inert places of degree d
-    already tallied.  Such a degree is sieved only when it is listed
-    (PlaceTable.places), and its listing must hold N_d places.  A depth
-    whose sieve to degree s exceeds the work bound is refused before any
-    sieving; a deeper degree is refused when it is listed.
+    over x (count_points); they fix L(T), which the table keeps as lpoly,
+    and every deeper a_m is read from that L.  So each sieved degree is
+    compared with a value the tally did not produce: shallow degrees with
+    exhaustion, the degrees in (g, 2g] with the L that exhaustion
+    determines.  By the Euler product L(T) = prod_u (1 - c(u) T^deg u)^-1
+    over the monic irreducibles u, c(u) the class of the fiber over u
+    (Rosen, Number Theory in Function Fields, ch. 4), those comparisons
+    are the coefficients of L; as deg L = 2g, a degree past 2g tells
+    nothing new.  So for d in (s, max_degree], N_d = (a_d - sum over
+    e | d, e < d of e N_e) / d, which must be an integer no smaller than
+    the inert places of degree d already tallied.  Such a degree is
+    sieved only when it is listed (PlaceTable.places), and its listing
+    must hold N_d places.  A depth whose sieve to degree s exceeds the
+    work bound is refused before any sieving; a deeper degree is refused
+    when it is listed.
     """
     if max_degree < 1:
         raise ValueError("place table depth must be >= 1")
@@ -402,31 +405,31 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
     exhausted = min(max_degree, max(g, 1))
     counts = [count_points(model, m, capacity=capacity)
               for m in range(1, exhausted + 1)]
-    if max_degree > exhausted:
+    lpoly = None
+    if max_degree >= g:
         lpoly = zetaone.lpolynomial_from_counts(counts, F.order, g)
         counts += zetaone.point_counts_from_lpolynomial(
             lpoly, max_degree)[exhausted:]
-    for m in range(1, sieved + 1):
-        weighted = sum(d * tally[d] for d in range(1, m + 1) if m % d == 0)
-        if weighted != counts[m - 1]:
+    for m in range(1, max_degree + 1):
+        lower = sum(e * tally[e] for e in range(1, m) if m % e == 0)
+        if m > sieved:
+            rest = counts[m - 1] - lower
+            if rest % m or rest // m < tally[m]:
+                raise ConsistencyError(
+                    f"L(T) gives no place count at degree {m}: "
+                    f"(a_{m} - sum e*N_e) / {m} = {rest}/{m}, with "
+                    f"{tally[m]} inert places already tallied")
+            tally[m] = rest // m
+        elif lower + m * tally[m] != counts[m - 1]:
             source = "exhaustion" if m <= exhausted else "L(T)"
             raise ConsistencyError(
                 f"place table disagrees with point counts at degree {m}: "
-                f"sum d*N_d = {weighted} but |X(F_q^{m})| = {counts[m - 1]} "
-                f"(from {source})")
-    for d in range(sieved + 1, max_degree + 1):
-        rest = counts[d - 1] - sum(e * tally[e] for e in range(1, d)
-                                   if d % e == 0)
-        if rest % d or rest // d < tally[d]:
-            raise ConsistencyError(
-                f"L(T) gives no place count at degree {d}: "
-                f"(a_{d} - sum e*N_e) / {d} = {rest}/{d}, with "
-                f"{tally[d]} inert places already tallied")
-        tally[d] = rest // d
+                f"sum d*N_d = {lower + m * tally[m]} but "
+                f"|X(F_q^{m})| = {counts[m - 1]} (from {source})")
     table = PlaceTable(model=model, max_degree=max_degree,
                        place_counts=tuple(tally[1:]),
-                       point_counts=tuple(counts), capacity=capacity,
-                       fibers=fibers, disc=disc)
+                       point_counts=tuple(counts), lpoly=lpoly,
+                       capacity=capacity, fibers=fibers, disc=disc)
     # List the degrees the strata read, and degree 1 at every genus, so
     # that each table runs the root extraction against the square-class
     # test at least once.

@@ -33,28 +33,51 @@ def _clause(c: zetatwo.ClauseResult) -> dict:
     return {"name": c.name, "passed": c.passed, "detail": c.detail}
 
 
-def _numerator_section(numerator) -> dict:
+def _assemble(head: dict, measure, numerator, structure: list,
+              divisor_clauses: list, irred: irrmod.IrreducibilityReport,
+              timings: dict, start: float, with_timing: bool) -> PipelineResult:
+    """The report of either pipeline: the caller's input (and curve)
+    sections in head, then strata, numerator, checks, verdict and timing."""
+    timings["total"] = f"{time.perf_counter() - start:.6f}"
+    passed = all(c.passed for c in structure + divisor_clauses
+                 + list(irred.clauses))
     # Fractions, so that the canonical JSON prints every one as a string
     coeffs = [[Fraction(c) for c in numerator.coeff_of_t(i).coeffs]
               for i in range(numerator.t_degree + 1)]
-    return {"coefficients": coeffs, "text": str(numerator)}
-
-
-def _irreducibility_section(report: irrmod.IrreducibilityReport) -> dict:
-    return {
-        "applicable": report.applicable,
-        "squarefree": report.squarefree,
-        "factor_count": report.factor_count,
-        "reference_factor_count": report.reference_count,
-        "clauses": [_clause(c) for c in report.clauses],
+    report = {
+        "format": REPORT_FORMAT,
+        **head,
+        "strata": {
+            "pic0": measure.pic0,
+            "rows": [list(row) for row in measure.values],
+        },
+        "numerator": {"coefficients": coeffs, "text": str(numerator)},
+        "checks": {
+            "structure": [_clause(c) for c in structure],
+            "divisor_counts": [_clause(c) for c in divisor_clauses],
+            "irreducibility": {
+                "applicable": irred.applicable,
+                "squarefree": irred.squarefree,
+                "factor_count": irred.factor_count,
+                "reference_factor_count": irred.reference_count,
+                "clauses": [_clause(c) for c in irred.clauses],
+            },
+            "passed": passed,
+        },
     }
+    if with_timing:
+        report["timing"] = timings
+    return PipelineResult(report=report, passed=passed)
 
 
 def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
                        series_order: int | None = None,
                        capacity: int = DEFAULT_CAPACITY,
                        with_timing: bool = True) -> PipelineResult:
-    """validate -> places and counts -> L -> strata -> numerator -> checks."""
+    """validate -> places and counts -> L -> strata -> numerator -> checks.
+
+    L(T) is read from the place table (places.lpoly), and the Euler product
+    over its places is expanded once, to the series order."""
     timings: dict = {}
     start = time.perf_counter()
 
@@ -78,14 +101,10 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
     places = curvemod.enumerate_places(model, depth, capacity=capacity)
     stage("places", t0)
 
-    # The place table carries a_1..a_depth: a_1..a_g counted by exhaustion,
-    # deeper a_m read from the L(T) they fix.  depth >= g, so L comes from
-    # the table; a short series order leaves a_m for m in (depth, 2g] to
-    # read from the same L here.
+    # depth >= g, so the table carries the L(T) that a_1..a_g fix.
     t0 = time.perf_counter()
-    lpoly = zetaone.lpolynomial_from_counts(places.point_counts[:g], q, g)
-    counts = list(places.point_counts[:2 * g])
-    counts += zetaone.point_counts_from_lpolynomial(lpoly, 2 * g)[len(counts):]
+    lpoly = places.lpoly
+    counts = zetaone.point_counts_from_lpolynomial(lpoly, 2 * g)
     pic0 = zetaone.class_number(lpoly)
     stage("point_counts", t0)
 
@@ -117,24 +136,18 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
         numerator, lpoly.coeffs, q))
 
     series = zetaone.zeta_series(lpoly, order)
+    euler = zetaone.effective_divisor_count(places, order)
     divisor_clauses = list(zetatwo.stratum_count_clauses(measure, series, q))
-    for n in range(min(order, depth) + 1):
-        euler = zetaone.effective_divisor_count(places, n)
-        divisor_clauses.append(zetatwo.ClauseResult(
-            f"divisor count route agreement, degree {n}",
-            euler == series[n],
-            f"place enumeration: {euler}, series expansion: {series[n]}"))
+    divisor_clauses += [zetatwo.ClauseResult(
+        f"divisor count route agreement, degree {n}", e == s,
+        f"place enumeration: {e}, series expansion: {s}")
+        for n, (e, s) in enumerate(zip(euler, series))]
 
     t0 = time.perf_counter()
     irred = irrmod.analyze_irreducibility(numerator, g, measure.pic0)
     stage("irreducibility", t0)
-    timings["total"] = f"{time.perf_counter() - start:.6f}"
 
-    all_clauses = structure + divisor_clauses + list(irred.clauses)
-    passed = all(c.passed for c in all_clauses)
-
-    report = {
-        "format": REPORT_FORMAT,
+    head = {
         "input": {
             "kind": "curve",
             "spec": spec.text,
@@ -154,59 +167,29 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
             "place_counts": [[d, places.count(d)]
                              for d in range(1, places.max_degree + 1)],
         },
-        "strata": {
-            "pic0": measure.pic0,
-            "rows": [list(row) for row in measure.values],
-        },
-        "numerator": _numerator_section(numerator),
-        "checks": {
-            "structure": [_clause(c) for c in structure],
-            "divisor_counts": [_clause(c) for c in divisor_clauses],
-            "irreducibility": _irreducibility_section(irred),
-            "passed": passed,
-        },
     }
-    if with_timing:
-        report["timing"] = timings
-    return PipelineResult(report=report, passed=passed)
+    return _assemble(head, measure, numerator, structure, divisor_clauses,
+                     irred, timings, start, with_timing)
 
 
 def run_table_pipeline(table: MeasureTableData, *,
                        with_timing: bool = True) -> PipelineResult:
     """Numerator and checks for a user-supplied measure table."""
-    timings: dict = {}
     start = time.perf_counter()
     measure = zetatwo.measure_from_table(table)
     g = measure.genus
     numerator = zetatwo.zeta_numerator(measure)
     structure = zetatwo.numerator_clauses(numerator, g, measure.pic0)
     irred = irrmod.analyze_irreducibility(numerator, g, measure.pic0)
-    timings["total"] = f"{time.perf_counter() - start:.6f}"
-
-    all_clauses = structure + list(irred.clauses)
-    passed = all(c.passed for c in all_clauses)
-    report = {
-        "format": REPORT_FORMAT,
+    head = {
         "input": {
             "kind": "measure-table",
             "genus": g,
             "pic0": measure.pic0,
         },
-        "strata": {
-            "pic0": measure.pic0,
-            "rows": [list(row) for row in measure.values],
-        },
-        "numerator": _numerator_section(numerator),
-        "checks": {
-            "structure": [_clause(c) for c in structure],
-            "divisor_counts": [],
-            "irreducibility": _irreducibility_section(irred),
-            "passed": passed,
-        },
     }
-    if with_timing:
-        report["timing"] = timings
-    return PipelineResult(report=report, passed=passed)
+    return _assemble(head, measure, numerator, structure, [], irred, {},
+                     start, with_timing)
 
 
 def _jsonable(value):

@@ -122,9 +122,10 @@ def zeta_series(lpoly: LPolynomial, order: int) -> list[int]:
     return out
 
 
-def effective_divisor_count(place_table, n: int) -> int:
-    """|X^(n)(F_q)| recomputed from the place table alone, as the Euler
-    product over places: multisets of places with total degree n.
+def effective_divisor_count(place_table, upto: int) -> list[int]:
+    """s_0 .. s_upto, as zeta_series gives them, recomputed from the place
+    table alone: the Euler product over places, expanded once to degree
+    upto, counts the multisets of places of each total degree n.
 
     Independent of the L-polynomial route on purpose for n <= 2g, where
     every N_d is a sieved tally; the two are compared in the verification
@@ -132,23 +133,22 @@ def effective_divisor_count(place_table, n: int) -> int:
     curve.enumerate_places), so there the two routes agree by
     construction.
     """
-    if n < 0:
+    if upto < 0:
         raise ValueError("divisor degree must be nonnegative")
-    if n > place_table.max_degree:
+    if upto > place_table.max_degree:
         raise ValueError(
             f"place table depth {place_table.max_degree} cannot count "
-            f"degree-{n} divisors")
-    series = [0] * (n + 1)
-    series[0] = 1
-    for d in range(1, n + 1):
+            f"degree-{upto} divisors")
+    series = [1] + [0] * upto
+    for d in range(1, upto + 1):
         nd = place_table.count(d)
         if not nd:
             continue
         # multiply by sum_j C(nd - 1 + j, j) T^(d j)
-        out = [0] * (n + 1)
-        for base in range(n + 1):
+        out = [0] * (upto + 1)
+        for base in range(upto + 1):
             if series[base]:
-                for j in range(0, (n - base) // d + 1):
+                for j in range(0, (upto - base) // d + 1):
                     out[base + d * j] += series[base] * comb(nd - 1 + j, j)
         series = out
-    return series[n]
+    return series

@@ -237,6 +237,17 @@ def test_batch_missing_file(capsys):
     assert main(["batch", "/nonexistent/batch.txt"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["verify", "--spec-file"],
+                                  ["verify", "--measure-table"],
+                                  ["batch"]])
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe p=3; f=x^3+x\n")
+    assert main(argv + [str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "utf-8" in err
+
+
 def test_batch_out_file(tmp_path, capsys):
     batch = tmp_path / "batch.txt"
     batch.write_text("p=3; f=x^3+x\n")

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from curvezeta import (base_change, count_points, enumerate_places,
-                       extension_field, field_embedding, parse_curve_spec,
+                       extension_field, field_embedding,
+                       lpolynomial_from_counts, parse_curve_spec,
                        validate_model)
 from curvezeta.errors import (CapacityError, ConsistencyError,
                               ModelShapeError, SingularCurveError)
@@ -205,6 +206,19 @@ def test_exhaustion_up_to_the_genus_only(monkeypatch):
     shallow = enumerate_places(model, g - 1)
     assert asked == list(range(1, g))
     assert shallow.point_counts == deep.point_counts[:g - 1]
+    assert shallow.lpoly is None
+
+
+@pytest.mark.parametrize("text", ["p=3; f=x^3+x", "p=3; f=x^7+x+1",
+                                  "p=2; f=x^5+x^3+x; h=x",
+                                  "p=2; k=2; f=x^3+x+1; h=1"])
+def test_place_table_carries_the_l_of_its_exhausted_counts(text):
+    model = build(text)
+    g, q = model.genus, model.field.order
+    for depth in (g, 2 * g + 3):
+        table = enumerate_places(model, depth)
+        assert table.lpoly == lpolynomial_from_counts(
+            table.point_counts[:g], q, g)
 
 
 def test_place_table_is_sorted_and_consistent():

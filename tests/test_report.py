@@ -183,3 +183,29 @@ def test_base_change_counts_the_base_model_up_to_the_genus(monkeypatch):
                   if c["name"] == "base change consistency")
     assert clause["passed"]
 
+
+@pytest.mark.parametrize("base_change, l_builds", [(1, 1), (2, 3)])
+def test_one_l_and_one_euler_product_per_report(monkeypatch, base_change,
+                                               l_builds):
+    # L(T) comes from the place table, and the Euler product is expanded
+    # once to the series order; with a base change the base model's L and
+    # the lifted L are built once each on top
+    from curvezeta import zetaone
+    calls = {"lpolynomial_from_counts": 0, "effective_divisor_count": 0}
+
+    def counted(name):
+        real = getattr(zetaone, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(zetaone, name, counted(name))
+    result = run("p=3; f=x^3+x", base_change=base_change, series_order=200,
+                 with_timing=False)
+    assert result.passed
+    assert len(all_clauses(result.report)) == 413 + (base_change > 1)
+    assert calls == {"lpolynomial_from_counts": l_builds,
+                     "effective_divisor_count": 1}

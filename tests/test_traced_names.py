@@ -1,23 +1,41 @@
-"""Every function the benchmark's tracer wraps still exists in the package.
+"""Every function the benchmark's tracer wraps still exists in the package,
+and every one a workload should reach is called.
 
 ``perfbench/tracing.py`` skips a name it cannot find, so a renamed or
 deleted function would otherwise surface only in a traced benchmark run,
 as a name with no recorded call.  The tracer module uses only the standard
-library, so it is loaded here by file path.
+library, so it is loaded here by file path.  The call check runs each
+workload's seed-1 inputs through ``perfbench/worker.py`` with tracing on,
+in a subprocess, as ``perfbench/run.py --trace 1`` does.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load(name: str):
+    """perfbench/<name>.py, loaded by file path (its dataclasses need it
+    registered in sys.modules)."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def wrapped_names() -> tuple:
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WRAPPED
+    return _load("tracing").WRAPPED
 
 
 def test_every_wrapped_name_resolves():
@@ -32,3 +50,21 @@ def test_every_wrapped_name_resolves():
         if not callable(owner):
             missing.append(name)
     assert missing == []
+
+
+@pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
+def test_every_wrapped_name_is_called_by_its_workloads(monkeypatch, name):
+    # run.py imports its siblings by bare name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    job = {"mode": "pipeline", "trace": True,
+           "inputs": run.generate(name, 1, run.is_nonsingular)}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py")], input=json.dumps(job),
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+        env=dict(os.environ, PYTHONHASHSEED="0"))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [r["error"] for r in out["results"] if "error" in r] == []
+    bypasses = run.WORKLOADS[name].bypasses
+    assert run.hit_check(out["calls"], bypasses) == []
