@@ -21,11 +21,12 @@ DIGESTS = Path(__file__).parent / "data" / "report_digests.txt"
 
 def pinned_inputs() -> list:
     """(spec, base change) pairs: the corpus, the worked base change, and
-    three curves of genus 3-5 whose numerators have large coefficients."""
+    four curves of genus 3-6 whose numerators have large coefficients."""
     return ([(text, 1) for text in corpus_specs()] + [("p=3; f=x^3+x", 2)]
             + [(text, 1) for text in ("p=3; f=x^7+x+1",
                                       "p=2; f=x^9+x^3+1; h=x^2+x",
-                                      "p=2; f=x^11+x+1; h=1")])
+                                      "p=2; f=x^11+x+1; h=1",
+                                      "p=2; f=x^13+x+1; h=1")])
 
 
 def report_digest(text: str, base_change: int) -> str:
