@@ -1,17 +1,17 @@
 """Absolute irreducibility of the two-variable numerator.
 
 Primary route: the dimension of the solution space of the partial
-differential equation g_u * P - g * P_u = h_T * P - h * P_T, with the Gao
-degree bounds on g and h, equals the number of irreducible factors of a
-squarefree P over the algebraic closure.  The system is built from the
-coefficients of P with denominators cleared, so its rank is an integer
-matrix rank.  That rank is bounded on both sides: (g, h) = (P_T, P_u) always
-solves the system, so the rank is at most its width minus one, and the rank
-mod a prime is at most the rank over Q, since a minor that is nonzero mod
-the prime is a nonzero integer.  A rank mod a prime near 2^20 that reaches
-the width minus one is therefore the rank over Q; only when it falls short,
-as for a reducible P, is the rank taken exactly over the integers by
-fraction-free elimination.
+differential equation g_u * P - g * P_u = h_T * P - h * P_T equals the
+number of irreducible factors P_k of a squarefree P over the algebraic
+closure (S. Gao, Math. Comp. 72, 2003).  Each solution is a sum of
+c_k (P/P_k) (dP_k/dT, dP_k/du), and NP(P) = NP(P_k) + NP(P/P_k) for Newton
+polygons (Ostrowski), so only unknowns with T g and u h inside NP(P) are
+kept: no solution is lost.  The system's integer rank (denominators
+cleared) is at most its width minus one, as (g, h) = (P_T, P_u) solves it,
+and at least its rank mod a prime, since a minor that is nonzero mod the
+prime is a nonzero integer.  A rank mod a prime near 2^20 that reaches
+the width minus one is therefore the rank over Q; only when it falls
+short, as for a reducible P, does exact fraction-free elimination run.
 
 Squarefreeness, which that count needs, is decided with univariate gcds
 only.  Let C(u) be the u-content of P, m = deg_T P and n = deg_u P.  A
@@ -111,18 +111,19 @@ def absolute_factor_count(P: BiPoly) -> int:
     scaled = [(a, b, c.numerator * (scale // c.denominator))
               for (a, b), c in terms.items()]
 
-    # Column (i, j) of the first block is j T^i u^(j-1) P - T^i u^j P_u,
-    # of the second T^i u^j P_T - i T^(i-1) u^j P.  Within one column the
-    # terms of P land on distinct monomials, so no entry ever cancels.
-    columns = []
-    for i in range(m):
-        for j in range(n + 1):
-            columns.append({(a + i, b + j - 1): (j - b) * c
-                            for a, b, c in scaled if j != b})
-    for i in range(m + 1):
-        for j in range(n):
-            columns.append({(a + i - 1, b + j): (a - i) * c
-                            for a, b, c in scaled if a != i})
+    # Unknowns sit at the lattice points (x, y) of NP(P), the bounding-box
+    # points on or left of every hull edge.  T^(x-1) u^y in g gives column
+    # y T^(x-1) u^(y-1) P - T^(x-1) u^y P_u and T^x u^(y-1) in h gives
+    # T^x u^(y-1) P_T - x T^(x-1) u^(y-1) P, where P's terms never collide.
+    hull = newton_polygon(P)
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    low_x, low_y = map(min, zip(*hull))
+    points = [(x, y) for x in range(low_x, m + 1) for y in range(low_y, n + 1)
+              if all(_cross(a, b, (x, y)) >= 0 for a, b in edges)]
+    columns = [{(a + x - 1, b + y - 1): (y - b) * c
+                for a, b, c in scaled if y != b} for x, y in points if x]
+    columns += [{(a + x - 1, b + y - 1): (a - x) * c
+                 for a, b, c in scaled if a != x} for x, y in points if y]
 
     row_index: dict = {}
     rows: list = []
@@ -135,6 +136,24 @@ def absolute_factor_count(P: BiPoly) -> int:
             rows[row_index[key]][k] = val
     # (g, h) = (P_T, P_u) is a nonzero solution, so the rank is below width.
     return width - _rank(rows, width - 1)
+
+
+def _cross(o: tuple, a: tuple, b: tuple) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def newton_polygon(P: BiPoly) -> tuple:
+    """The vertices of the convex hull of P's exponents, counterclockwise
+    from the least; a point or a segment gives one or two."""
+    def chain(points):  # Andrew's monotone chain, without its last point
+        out = []
+        for pt in points:
+            while len(out) >= 2 and _cross(out[-2], out[-1], pt) <= 0:
+                out.pop()
+            out.append(pt)
+        return out[:-1]
+    points = sorted(P.terms())
+    return tuple(chain(points) + chain(points[::-1])) or tuple(points)
 
 
 def _rank(rows: list, bound: int | None = None) -> int:

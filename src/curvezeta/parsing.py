@@ -160,7 +160,8 @@ def _parse_fraction(text: str, line: int, col: int) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{text!r} is not a rational a/b", line, col) from None
+        raise ParseError(f"{text!r} is not a rational a/b or a decimal",
+                         line, col) from None
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,20 @@ The oracle helpers here deliberately avoid the library under test: point
 counts come from double loops over small prime fields, irreducible-polynomial
 tallies from the Mobius formula, effective divisors from a listing one
 divisor at a time, and extension fields (where a test needs one) from
-throwaway coefficient-list arithmetic written inline.  Two helpers are the
-exceptions.  absolute_trace sums over the roots of u on fqpoly's table
+throwaway coefficient-list arithmetic written inline.  Three helpers are
+the exceptions.  absolute_trace sums over the roots of u on fqpoly's table
 kernels, as the reference for fqpoly.fraction_trace, which takes the
 trace of a fraction a / b without forming it in F_q[x]/(u).
 sieved_place_counts sieves and classes every degree with the library's
 own sieve and class test, as the reference for the place table, which
-reads the counts past degree 2g from L(T).
+reads the counts past degree 2g from L(T).  gao_box_count takes the rank
+of Gao's system on the full degree box with the library's exact Bareiss
+elimination, as the reference for irreducibility.absolute_factor_count,
+which keeps only the unknowns inside the Newton polygon of P.
 """
 
 import random
+from math import lcm
 
 import pytest
 
@@ -312,3 +316,29 @@ def random_products(seed, how_many, max_total_degree=6):
             continue
         out.append((product, truth))
     return out
+
+
+def gao_box_count(P):
+    """Absolute factor count of a squarefree P in both variables: the
+    nullity of Gao's system g_u P - g P_u = h_T P - h P_T with one unknown
+    per monomial T^i u^j of g (i < m, j <= n) and of h (i <= m, j < n),
+    where (m, n) is the bidegree of P, its rank taken over the integers by
+    irreducibility._bareiss_rank alone."""
+    from curvezeta.irreducibility import _bareiss_rank
+    m, n = P.t_degree, P.u_degree
+    terms = P.terms()
+    scale = lcm(*(c.denominator for c in terms.values()))
+    scaled = [(a, b, c.numerator * (scale // c.denominator))
+              for (a, b), c in terms.items()]
+    columns = []
+    for i in range(m):
+        for j in range(n + 1):
+            columns.append({(a + i, b + j - 1): (j - b) * c
+                            for a, b, c in scaled if j != b})
+    for i in range(m + 1):
+        for j in range(n):
+            columns.append({(a + i - 1, b + j): (a - i) * c
+                            for a, b, c in scaled if a != i})
+    keys = sorted({key for column in columns for key in column})
+    rows = [[column.get(key, 0) for column in columns] for key in keys]
+    return len(columns) - _bareiss_rank(rows)

@@ -17,8 +17,8 @@ from curvezeta.errors import OracleUnsupportedError
 from curvezeta import irreducibility
 from curvezeta.irreducibility import (_PRIME, NotSquarefreeError, _rank,
                                       _rank_mod_prime, _square_in_closure,
-                                      certify_irreducible)
-from conftest import FACTOR_POOL, random_products
+                                      certify_irreducible, newton_polygon)
+from conftest import FACTOR_POOL, gao_box_count, random_products
 
 T, U = BiPoly.t(), BiPoly.u()
 
@@ -358,6 +358,85 @@ def test_reducible_numerator_takes_exact_elimination(monkeypatch):
     calls = _bareiss_calls(monkeypatch)
     assert absolute_factor_count(P) == 2
     assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([1, Fraction(1, 6)]),
+       st.sampled_from([BiPoly.const(1), U, U + 2, (U - 1) * (U + 3)]))
+def test_polygon_count_matches_the_full_box(seed, scalar, content):
+    """Keeping only the unknowns inside NP(P) loses no solution of Gao's
+    system: the count matches the full degree box on pool products, also
+    scaled and times a u-content whose factors each count once."""
+    (product, truth), = random_products(seed, 1)
+    P = scalar * product * content
+    count = truth + content.u_degree
+    assert absolute_factor_count(P) == gao_box_count(P) == count
+
+
+@pytest.mark.parametrize("poly,hull,count", [
+    (T * U, ((1, 1),), 2),
+    (T * U * (1 + T), ((1, 1), (2, 1)), 3),
+    (1 + T * U, ((0, 0), (1, 1)), 1),
+    (T ** 2 - 2 * U ** 2, ((0, 2), (2, 0)), 2),
+    (T ** 3 + U ** 3, ((0, 3), (3, 0)), 3),
+])
+def test_degenerate_hulls(poly, hull, count):
+    """A hull that is one point or a segment keeps its count."""
+    assert newton_polygon(poly) == hull
+    assert absolute_factor_count(poly) == gao_box_count(poly) == count
+
+
+@pytest.mark.parametrize("name,count", [("euler_g1.txt", 2),
+                                        ("euler_g2.txt", 3)])
+def test_zero_class_mass_tables_on_the_polygon(monkeypatch, name, count):
+    """Reducible numerators (P = (1 - T)(1 - uT) Q): the polygon system
+    falls short of its bound and exact elimination decides the count."""
+    from curvezeta import (measure_from_table, parse_measure_table,
+                           zeta_numerator)
+    table = Path(__file__).parent / "data" / name
+    P = zeta_numerator(measure_from_table(
+        parse_measure_table(table.read_text())))
+    assert gao_box_count(P) == count
+    calls = _bareiss_calls(monkeypatch)
+    assert absolute_factor_count(P) == count
+    assert len(calls) == 1
+
+
+def _pentagon(g):
+    """The Newton polygon of a genus-g curve numerator, as newton_polygon
+    lists it; for g = 1 the vertices (2g - 1, g) and (1, 1) coincide."""
+    return tuple(dict.fromkeys(
+        [(0, 0), (g, 0), (2 * g, g), (2 * g - 1, g), (1, 1)]))
+
+
+@pytest.mark.parametrize("spec,genus,shape", [
+    ("p=2; f=x^11+x+1; h=1", 5, (71, 45)),
+    ("p=2; f=x^13+x+1; h=1", 6, (98, 60)),
+    ("p=3; f=x^9+x+1", 4, (48, 32)),
+    ("p=3; f=x^3+x", 1, (4, 5)),
+])
+def test_rank_system_spans_the_newton_polygon(monkeypatch, spec, genus, shape):
+    """Deterministic work: each curve's one rank matrix has the polygon
+    system's shape (the full degree box gave 167 x 115, 241 x 162 and
+    109 x 76 for genus 5, 6 and 4), and the hull has the vertices that a
+    unit-edge argument reads."""
+    from curvezeta import parse_curve_spec, run_curve_pipeline
+    shapes, hulls = [], []
+    real_rank, real_hull = irreducibility._rank, irreducibility.newton_polygon
+
+    def rank_spy(rows, bound=None):
+        shapes.append((len(rows), len(rows[0])))
+        return real_rank(rows, bound)
+
+    def hull_spy(P):
+        hulls.append(real_hull(P))
+        return hulls[-1]
+
+    monkeypatch.setattr(irreducibility, "_rank", rank_spy)
+    monkeypatch.setattr(irreducibility, "newton_polygon", hull_spy)
+    assert run_curve_pipeline(parse_curve_spec(spec), with_timing=False).passed
+    assert shapes == [shape]
+    assert hulls == [_pentagon(genus)]
 
 
 def test_analyze_genus_zero():

@@ -98,6 +98,20 @@ def test_measure_table_rational_values():
     assert data.entries[(0, 0)] == Fraction(5, 2)
 
 
+@pytest.mark.parametrize("value,exact", [
+    ("5/2", Fraction(5, 2)),
+    ("-4/6", Fraction(-2, 3)),
+    ("1.5", Fraction(3, 2)),
+    ("-0.25", Fraction(-1, 4)),
+    ("1e3", Fraction(1000)),
+    ("1_000", Fraction(1000)),
+])
+def test_measure_table_values_are_fractions_or_decimals(value, exact):
+    # a decimal is read exactly, never through a float
+    data = parse_measure_table(f"g=1; pic0={value}\n0 0 {value}\n")
+    assert data.pic0 == exact == data.entries[(0, 0)]
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("", "empty"),
     ("g=1\n0 0 1", "both g and pic0"),
@@ -106,6 +120,8 @@ def test_measure_table_rational_values():
     ("g=1; pic0=2\nx 0 1", "must be integers"),
     ("g=1; pic0=2\n-1 0 1", "nonnegative"),
     ("g=1; pic0=2\n0 0 1/0", "not a rational"),
+    ("g=1; pic0=2\n0 0 1//2", "not a rational a/b or a decimal"),
+    ("g=1; pic0=1,5\n0 0 1", "not a rational a/b or a decimal"),
     ("g=1; pic0=2\n0 0 1\n0 0 2", "duplicate stratum"),
     ("g=x; pic0=2", "nonnegative integer"),
 ])
