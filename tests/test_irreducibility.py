@@ -373,17 +373,28 @@ def test_polygon_count_matches_the_full_box(seed, scalar, content):
     assert absolute_factor_count(P) == gao_box_count(P) == count
 
 
-@pytest.mark.parametrize("poly,hull,count", [
-    (T * U, ((1, 1),), 2),
-    (T * U * (1 + T), ((1, 1), (2, 1)), 3),
-    (1 + T * U, ((0, 0), (1, 1)), 1),
-    (T ** 2 - 2 * U ** 2, ((0, 2), (2, 0)), 2),
-    (T ** 3 + U ** 3, ((0, 3), (3, 0)), 3),
+@pytest.mark.parametrize("poly,hull,width,count", [
+    (T * U, ((1, 1),), 2, 2),
+    (T * U * (1 + T), ((1, 1), (2, 1)), 4, 3),
+    (1 + T * U, ((0, 0), (1, 1)), 2, 1),
+    (T ** 2 - 2 * U ** 2, ((0, 2), (2, 0)), 4, 2),
+    (T ** 3 + U ** 3, ((0, 3), (3, 0)), 6, 3),
 ])
-def test_degenerate_hulls(poly, hull, count):
-    """A hull that is one point or a segment keeps its count."""
+def test_degenerate_hulls(monkeypatch, poly, hull, width, count):
+    """A hull that is one point or a segment keeps its count, with one
+    unknown of g and one of h per lattice point (x, y) of the hull that has
+    x >= 1 and y >= 1 respectively, and none off it."""
     assert newton_polygon(poly) == hull
+    bounds = []
+    real = irreducibility._rank
+
+    def rank_spy(rows, bound=None):
+        bounds.append(bound)
+        return real(rows, bound)
+
+    monkeypatch.setattr(irreducibility, "_rank", rank_spy)
     assert absolute_factor_count(poly) == gao_box_count(poly) == count
+    assert bounds == [width - 1]
 
 
 @pytest.mark.parametrize("name,count", [("euler_g1.txt", 2),
