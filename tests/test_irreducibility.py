@@ -360,6 +360,19 @@ def test_reducible_numerator_takes_exact_elimination(monkeypatch):
     assert len(calls) == 1
 
 
+def _rank_calls(monkeypatch):
+    """(#rows, #cols, bound) of every irreducibility._rank call."""
+    calls = []
+    real = irreducibility._rank
+
+    def spy(rows, bound=None):
+        calls.append((len(rows), len(rows[0]) if rows else 0, bound))
+        return real(rows, bound)
+
+    monkeypatch.setattr(irreducibility, "_rank", spy)
+    return calls
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from([1, Fraction(1, 6)]),
        st.sampled_from([BiPoly.const(1), U, U + 2, (U - 1) * (U + 3)]))
@@ -385,16 +398,9 @@ def test_degenerate_hulls(monkeypatch, poly, hull, width, count):
     unknown of g and one of h per lattice point (x, y) of the hull that has
     x >= 1 and y >= 1 respectively, and none off it."""
     assert newton_polygon(poly) == hull
-    bounds = []
-    real = irreducibility._rank
-
-    def rank_spy(rows, bound=None):
-        bounds.append(bound)
-        return real(rows, bound)
-
-    monkeypatch.setattr(irreducibility, "_rank", rank_spy)
+    calls = _rank_calls(monkeypatch)
     assert absolute_factor_count(poly) == gao_box_count(poly) == count
-    assert bounds == [width - 1]
+    assert [bound for _, _, bound in calls] == [width - 1]
 
 
 @pytest.mark.parametrize("name,count", [("euler_g1.txt", 2),
@@ -432,21 +438,17 @@ def test_rank_system_spans_the_newton_polygon(monkeypatch, spec, genus, shape):
     109 x 76 for genus 5, 6 and 4), and the hull has the vertices that a
     unit-edge argument reads."""
     from curvezeta import parse_curve_spec, run_curve_pipeline
-    shapes, hulls = [], []
-    real_rank, real_hull = irreducibility._rank, irreducibility.newton_polygon
-
-    def rank_spy(rows, bound=None):
-        shapes.append((len(rows), len(rows[0])))
-        return real_rank(rows, bound)
+    calls = _rank_calls(monkeypatch)
+    hulls = []
+    real_hull = irreducibility.newton_polygon
 
     def hull_spy(P):
         hulls.append(real_hull(P))
         return hulls[-1]
 
-    monkeypatch.setattr(irreducibility, "_rank", rank_spy)
     monkeypatch.setattr(irreducibility, "newton_polygon", hull_spy)
     assert run_curve_pipeline(parse_curve_spec(spec), with_timing=False).passed
-    assert shapes == [shape]
+    assert [(rows, cols) for rows, cols, _ in calls] == [shape]
     assert hulls == [_pentagon(genus)]
 
 
