@@ -15,7 +15,7 @@ monic irreducible u = u(x) below them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 
 from . import fqpoly as fp
 from . import zetaone
@@ -54,12 +54,12 @@ def field_embedding(src: FiniteField, dst: FiniteField):
     return table.__getitem__
 
 
-@dataclass(frozen=True)
-class HyperellipticModel:
+class HyperellipticModel(namedtuple("HyperellipticModel", "field f h genus")):
     field: FiniteField
     f: tuple[int, ...]
     h: tuple[int, ...]
     genus: int
+    __slots__ = ()
 
     def __repr__(self):
         return (f"HyperellipticModel(genus {self.genus} over {self.field!r})")
@@ -178,14 +178,14 @@ def count_points(model: HyperellipticModel, m: int = 1, *,
     return total
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(namedtuple("Place", "kind u v degree")):
     """One closed point.  u and v are coefficient tuples over the base field;
     v is None for inert and infinite places."""
     kind: str  # "affine" | "inert" | "infinite"
     u: tuple[int, ...] | None
     v: tuple[int, ...] | None
     degree: int
+    __slots__ = ()
 
     def sort_key(self, field):
         rank = {"infinite": 0, "affine": 1, "inert": 2}[self.kind]
@@ -194,8 +194,8 @@ class Place:
                 fp.encode(field, self.v) if self.v is not None else -1)
 
 
-@dataclass(frozen=True)
-class PlaceTable:
+class PlaceTable(namedtuple("PlaceTable", "model max_degree place_counts "
+                            "point_counts lpoly capacity fibers disc by_degree")):
     """Place counts N_1 .. N_max_degree, point counts a_1 .. a_max_degree
     and the L(T) of the curve, the one source of its one-variable data.
 
@@ -211,6 +211,9 @@ class PlaceTable:
     again.  A degree past max(2g, 1), which enumerate_places did not
     sieve, is sieved and classed when it is listed, under the work bound
     the table was built with, and its listing must hold count(d) places.
+
+    Two tables are equal when all nine fields are, the caches included, and
+    a table has no hash, since its caches are dicts.
     """
     model: HyperellipticModel
     max_degree: int
@@ -218,17 +221,29 @@ class PlaceTable:
     point_counts: tuple[int, ...]  # a_1 .. a_max_degree
     lpoly: zetaone.LPolynomial | None  # L(T); None if max_degree < g
     # the work bound of every sieve, deferred ones included
-    capacity: int = dataclass_field(compare=False, repr=False)
+    capacity: int
     # fibers[d] = (the monic irreducibles u of degree d, as
     # fp.monic_irreducibles returns them, and the _fiber_class of each u),
     # for the degrees classed so far (_class_fibers)
-    fibers: dict = dataclass_field(compare=False, repr=False)
+    fibers: dict
     # the polynomial the classes are decided with: D = f + h^2/4 for odd
     # q, h^2 in characteristic 2 (see _discriminant)
-    disc: tuple = dataclass_field(compare=False, repr=False)
+    disc: tuple
     # degree -> tuple[Place, ...], for the degrees listed so far
-    by_degree: dict = dataclass_field(default_factory=dict, compare=False,
-                                      repr=False)
+    by_degree: dict
+    __slots__ = ()
+
+    def __new__(cls, model, max_degree, place_counts, point_counts, lpoly,
+                capacity, fibers, disc, by_degree=None):
+        return super().__new__(
+            cls, model, max_degree, place_counts, point_counts, lpoly,
+            capacity, fibers, disc, {} if by_degree is None else by_degree)
+
+    def __repr__(self):
+        # the first five fields; the caches after them are left out
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self._fields[:5], self))
+        return f"PlaceTable({shown})"
 
     def _check_degree(self, degree: int) -> None:
         if not 1 <= degree <= self.max_degree:

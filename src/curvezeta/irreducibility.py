@@ -40,7 +40,7 @@ of positive T-degree would survive in P(T, c), both keeping their degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -350,13 +350,15 @@ def reversal(P: BiPoly) -> BiPoly:
     return BiPoly.from_terms({(m - i, j): c for (i, j), c in P.terms().items()})
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(namedtuple(
+        "IrreducibilityReport",
+        "applicable squarefree factor_count reference_count clauses")):
     applicable: bool
     squarefree: bool | None
     factor_count: int | None
     reference_count: int | None
     clauses: tuple
+    __slots__ = ()
 
 
 def analyze_irreducibility(P: BiPoly, genus: int,

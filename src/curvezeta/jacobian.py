@@ -15,7 +15,7 @@ handles all three without the full composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import fqpoly as fp
 from .curve import HyperellipticModel, Place, PlaceTable
@@ -193,14 +193,14 @@ def section_count_to_h0(q: int, size: int) -> int:
     return nu
 
 
-@dataclass(frozen=True)
-class StratumTable:
+class StratumTable(namedtuple("StratumTable", "genus q class_count rows")):
     """b[n][nu] = number of degree-n classes with nu independent sections,
     for 0 <= n <= 2g-2 and 0 <= nu <= g."""
     genus: int
     q: int
     class_count: int
     rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def b(self, n: int, nu: int) -> int:
         if 0 <= n < len(self.rows) and 0 <= nu < len(self.rows[n]):

@@ -14,7 +14,7 @@ driver can point at the offending character.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ParseError
@@ -107,14 +107,14 @@ def parse_poly_text(text: str, var: str = "x", *, line: int = 1) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class CurveSpecData:
+class CurveSpecData(namedtuple("CurveSpecData", "p k f h text")):
     """Raw key/value content of one curve spec string."""
     p: int
     k: int
     f: tuple[int, ...]
     h: tuple[int, ...]
     text: str
+    __slots__ = ()
 
 
 def parse_curve_spec(text: str, *, line: int = 1) -> CurveSpecData:
@@ -164,11 +164,11 @@ def _parse_fraction(text: str, line: int, col: int) -> Fraction:
                          line, col) from None
 
 
-@dataclass(frozen=True)
-class MeasureTableData:
+class MeasureTableData(namedtuple("MeasureTableData", "genus pic0 entries")):
     genus: int
     pic0: Fraction
     entries: dict  # (n, nu) -> Fraction
+    __slots__ = ()
 
 
 def parse_measure_table(text: str) -> MeasureTableData:

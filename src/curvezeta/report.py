@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import curve as curvemod
@@ -23,10 +23,10 @@ from .ratpoly import format_poly
 REPORT_FORMAT = "curvezeta-report/1"
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(namedtuple("PipelineResult", "report passed")):
     report: dict
     passed: bool
+    __slots__ = ()
 
 
 def _clause(c: zetatwo.ClauseResult) -> dict:

@@ -10,35 +10,36 @@ a_1 .. a_g together with the functional equation c_(2g-i) = q^(g-i) c_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
 from .errors import InconsistentCountsError
 
 
-@dataclass(frozen=True)
-class LPolynomial:
+class LPolynomial(namedtuple("LPolynomial", "coeffs q genus")):
     coeffs: tuple[int, ...]  # c_0 .. c_2g
     q: int
     genus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = self.genus
-        cs = self.coeffs
+    def __new__(cls, coeffs, q, genus):
+        g = genus
+        cs = coeffs
         if len(cs) != 2 * g + 1:
             raise InconsistentCountsError(
                 f"L-polynomial of genus {g} needs {2 * g + 1} coefficients")
         if cs[0] != 1:
             raise InconsistentCountsError("L(0) must be 1")
         for i in range(g + 1):
-            if cs[2 * g - i] != self.q ** (g - i) * cs[i]:
+            if cs[2 * g - i] != q ** (g - i) * cs[i]:
                 raise InconsistentCountsError(
                     f"functional equation fails at index {i}: "
                     f"c_{2 * g - i} = {cs[2 * g - i]} != q^{g - i} * c_{i}")
-        if g >= 1 and cs[1] ** 2 > 4 * g * g * self.q:
+        if g >= 1 and cs[1] ** 2 > 4 * g * g * q:
             raise InconsistentCountsError(
                 f"|c_1| = {abs(cs[1])} breaks the Weil bound c_1^2 <= 4 g^2 q")
+        return super().__new__(cls, coeffs, q, genus)
 
     def __str__(self):
         from .ratpoly import format_poly

@@ -8,7 +8,7 @@ satisfying the same shape constraints is accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ConsistencyError, InvalidMeasureError
@@ -21,16 +21,17 @@ def _u_text(poly: RationalPoly) -> str:
     return format_poly(poly.coeffs, "u")
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(namedtuple("Measure", "genus pic0 values lefschetz label",
+                         defaults=(None, "measure"))):
     """values[n][nu] for 0 <= n <= 2g-2, 0 <= nu <= g; pic0 is the common
     row total.  lefschetz is the point-count specialization of u (the field
     order) when the measure arises from counting, else None."""
     genus: int
     pic0: Fraction
     values: tuple[tuple[Fraction, ...], ...]
-    lefschetz: int | None = None
-    label: str = "measure"
+    lefschetz: int | None
+    label: str
+    __slots__ = ()
 
     def value(self, n: int, nu: int) -> Fraction:
         if 0 <= n < len(self.values) and 0 <= nu < len(self.values[n]):
@@ -151,11 +152,11 @@ def zeta_numerator(measure: Measure) -> BiPoly:
     return bivariate_exact_divide(q_poly, BiPoly.u() - BiPoly.const(1))
 
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(namedtuple("ClauseResult", "name passed detail")):
     name: str
     passed: bool
     detail: str
+    __slots__ = ()
 
 
 def numerator_clauses(numerator: BiPoly, genus: int,

@@ -1,6 +1,7 @@
 """Command line behavior: subcommands, exit codes, output determinism."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -278,12 +279,19 @@ def test_module_entry_point():
 
 
 def test_import_leaves_sympy_unloaded():
-    # sympy serves only the reference oracle, so startup must not pay for it
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, curvezeta.cli; sys.exit('sympy' in sys.modules)"],
-        capture_output=True, text=True)
+    # sympy serves only the reference oracle, so startup must not pay for
+    # it; the record types are named tuples, so startup loads neither
+    # dataclasses (with inspect under it) nor typing.  -S keeps any .pth
+    # file from preloading modules and hiding an import.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, curvezeta.cli; print(' '.join(sorted({m for m in "
+            "('dataclasses', 'inspect', 'typing', 'sympy') "
+            "if m in sys.modules})))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.skipif(shutil.which("curvezeta") is None,
