@@ -105,13 +105,14 @@ def _run_single(args) -> PipelineResult:
             raise ParseError(
                 f"--genus {args.genus} contradicts the table header "
                 f"genus {table.genus}")
-        return run_table_pipeline(table, with_timing=not args.no_timing)
+        return run_table_pipeline(table, capacity=args.max_work,
+                                  with_timing=not args.no_timing)
     if args.spec_file:
         with open(args.spec_file, encoding="utf-8") as handle:
             text = handle.read()
     else:
         text = args.spec
-    spec = parse_curve_spec(text)
+    spec = parse_curve_spec(text, capacity=args.max_work)
     if args.genus is not None:
         # base change keeps the genus: check it before any work is spent
         field = extension_field(spec.p, spec.k, capacity=args.max_work)
@@ -160,7 +161,8 @@ def _cmd_batch(args) -> int:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            spec = parse_curve_spec(stripped, line=lineno)
+            spec = parse_curve_spec(stripped, line=lineno,
+                                    capacity=args.max_work)
             result = run_curve_pipeline(
                 spec, base_change=args.base_change,
                 series_order=args.series_order, capacity=args.max_work,

@@ -206,7 +206,7 @@ class PlaceTable(namedtuple("PlaceTable", "model max_degree place_counts "
     The places of a degree are listed the first time that degree is asked
     for, and kept: listing needs a square root (Tonelli) or an
     Artin-Schreier solution per split fiber, while the strata read places
-    only up to degree 2g-2 and the Euler product reads only the counts.
+    only up to degree g-1 and the Euler product reads only the counts.
     Listing reads the fiber classes recorded in fibers and decides none
     again.  A degree past max(2g, 1), which enumerate_places did not
     sieve, is sieved and classed when it is listed, under the work bound
@@ -371,7 +371,7 @@ def _list_places(table: PlaceTable, degree: int) -> tuple:
 def enumerate_places(model: HyperellipticModel, max_degree: int, *,
                      capacity: int = DEFAULT_CAPACITY) -> PlaceTable:
     """The place table to depth max_degree: N_d for every d <= max_degree,
-    the places of degree <= max(2g-2, 1), and those of any deeper degree
+    the places of degree <= max(g-1, 1), and those of any deeper degree
     listed when first asked for.
 
     Only the degrees d <= s = min(max_degree, max(2g, 1)) are sieved here.
@@ -448,6 +448,6 @@ def enumerate_places(model: HyperellipticModel, max_degree: int, *,
     # List the degrees the strata read, and degree 1 at every genus, so
     # that each table runs the root extraction against the square-class
     # test at least once.
-    for d in range(1, min(max_degree, max(2 * g - 2, 1)) + 1):
+    for d in range(1, min(max_degree, max(g - 1, 1)) + 1):
         table.places(d)
     return table

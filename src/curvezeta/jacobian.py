@@ -7,10 +7,10 @@ function here takes and returns reduced pairs; add relies on that when it
 returns the other operand for IDENTITY.
 
 A degree-n class (n >= 0) is the pair (U, V) of [D - n*infinity]; the
-strata bucket such pairs per degree in one walk of the effective divisors,
-one Cantor addition per divisor.  Most of those additions have an
-IDENTITY operand, a degree-1 U (one affine point) or coprime U's; add
-handles all three without the full composition.
+strata bucket such pairs per degree in one walk of the effective divisors
+of degree <= g-1, one Cantor addition per divisor.  Most of those
+additions have an IDENTITY operand, which add returns at once.  The rows
+of degree g .. 2g-2 are read off the walked ones by D -> K - D.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from . import fqpoly as fp
 from .curve import HyperellipticModel, Place, PlaceTable
 from .errors import CapacityError, ConsistencyError, StratificationError
 from .finitefield import DEFAULT_CAPACITY
+from .zetaone import class_number
 
 IDENTITY = ((1,), ())
 
@@ -45,64 +46,23 @@ def _reduce(model: HyperellipticModel, u, v):
     return (fp.monic(F, u), v)
 
 
-def _add_point(model: HyperellipticModel, point, rep):
-    """point + rep for a reduced pair point = (x - a, b), one affine point
-    (a, b), by scalars at x = a and no xgcd.  With w = u(a) for rep = (u, v):
-    w != 0 is the coprime case, v + c u with c = (b - v(a)) / w; otherwise
-    rep holds (a, b) or its conjugate, and s = b + v(a) + h(a) tells which.
-    s = 0: the point cancels its conjugate (or a ramified point doubles to
-    a fiber), leaving u / (x - a).  s != 0: the point doubles, and v + c u
-    with c = -t(a) / s, t = (v^2 + h v - f) / u, makes (x - a) u divide
-    v^2 + h v - f."""
-    F = model.field
-    a = F.neg(point[0][0])
-    b = point[1][0] if point[1] else 0
-    u, v = rep
-    w = fp.evaluate(F, u, a)
-    va = fp.evaluate(F, v, a)
-    if w:
-        c = F.mul(F.sub(b, va), F.inv(w))
-    else:
-        s = F.add(F.add(b, va), fp.evaluate(F, model.h, a))
-        if not s:
-            rest = fp.divmod_(F, u, point[0])[0]
-            return (rest, fp.mod(F, v, rest))
-        t = fp.divmod_(F, fp.sub(F, fp.mul(F, v, fp.add(F, v, model.h)),
-                                  model.f), u)[0]
-        c = F.neg(F.mul(fp.evaluate(F, t, a), F.inv(s)))
-    return _reduce(model, fp.mul(F, point[0], u),
-                   fp.add(F, v, fp.scale(F, c, u)))
-
-
 def add(model: HyperellipticModel, rep1, rep2):
     """The sum of two reduced Mumford pairs: Cantor composition followed by
     reduction (Cantor, Computing in the Jacobian of a hyperelliptic curve,
     Math. Comp. 48, 1987).
 
     Both operands must be reduced pairs, as this module returns them; then
-    IDENTITY + b = b, so an IDENTITY operand returns the other one.  An
-    operand with deg u = 1 is one affine point, added by _add_point.  For
-    coprime u1, u2 the composition has d = 1: u = u1 u2, and v is the
-    solution of degree < deg u of v = v1 mod u1, v = v2 mod u2, which is
-    v1 + u1 ((v2 - v1) e1 mod u2) with e1 u1 = 1 mod u2 from the first
-    xgcd.  The second xgcd and both exact divisions are then skipped.
+    IDENTITY + b = b, so an IDENTITY operand returns the other one.  Every
+    other pair goes through the one composition.
     """
     if rep1 == IDENTITY:
         return rep2
     if rep2 == IDENTITY:
         return rep1
-    if len(rep1[0]) == 2:
-        return _add_point(model, rep1, rep2)
-    if len(rep2[0]) == 2:
-        return _add_point(model, rep2, rep1)
     F = model.field
     u1, v1 = rep1
     u2, v2 = rep2
     d1, e1, e2 = fp.xgcd(F, u1, u2)
-    if d1 == (1,):
-        lift = fp.mod(F, fp.mul(F, fp.sub(F, v2, v1), e1), u2)
-        return _reduce(model, fp.mul(F, u1, u2),
-                       fp.add(F, v1, fp.mul(F, u1, lift)))
     step = fp.add(F, fp.add(F, v1, v2), model.h)
     d, c1, c2 = fp.xgcd(F, d1, step)
     s1 = fp.mul(F, c1, e1)
@@ -210,25 +170,36 @@ class StratumTable(namedtuple("StratumTable", "genus q class_count rows")):
 
 def strata_table(model: HyperellipticModel, place_table: PlaceTable,
                  class_count: int) -> StratumTable:
-    """Bucket effective divisors of each degree n <= 2g-2 by divisor class.
+    """Bucket effective divisors of each degree n <= g-1 by divisor class,
+    and read the rows of degree g .. 2g-2 off them by the involution.
 
-    One walk visits each effective divisor of degree 1 .. 2g-2 once, as a
+    One walk visits each effective divisor of degree 1 .. g-1 once, as a
     non-decreasing run of listed places: a node's class is its parent's
     plus one place's image (one Cantor addition), and the walk goes one
-    level per place added, so at most 2g-2 deep.  Degree 0 holds only zero.
-
+    level per place added, so at most g-1 deep.  Degree 0 holds only zero.
     Every bucket size must be a projective-space count (q^nu - 1)/(q - 1),
-    which self-certifies the number of sections of the class.  The
-    zero-section, duality and Clifford shape constraints are checked when
-    the table becomes a measure, in zetatwo.counting_measure.
+    which self-certifies the number of sections of the class.
+
+    D -> K - D maps the degree-n classes with nu sections onto the degree
+    (2g-2-n) classes with nu - n + g - 1 sections (Riemann-Roch and Serre
+    duality), so for n <= g-2, b[2g-2-n][nu] = b[n][nu - (g-1-n)], and 0
+    where that index is negative.  A reflected row keeps its walked row's
+    total, so the duality check cannot see a wrong class_count; it must
+    be L(1), read from the table's L(T).  The zero-section, duality and
+    Clifford shape constraints are checked when the table becomes a
+    measure, in zetatwo.counting_measure.
     """
     g = model.genus
     q = model.field.order
-    top = 2 * g - 2
-    if top > 0 and place_table.max_degree < top:
+    if place_table.lpoly is None:
         raise ValueError(
-            f"strata need places up to degree {top}, table has "
-            f"{place_table.max_degree}")
+            f"strata need L(T), from places up to degree {g}; the table "
+            f"has {place_table.max_degree}")
+    pic0 = class_number(place_table.lpoly)
+    if class_count != pic0:
+        raise StratificationError(
+            f"class count {class_count} is not L(1) = {pic0}")
+    top = g - 1
     places = [p for d in range(1, top + 1) for p in place_table.places(d)]
     images = [divisor_class(model, ((place, 1),))[0] for place in places]
     buckets = [{IDENTITY: 1} if n == 0 else {} for n in range(top + 1)]
@@ -259,5 +230,9 @@ def strata_table(model: HyperellipticModel, place_table: PlaceTable,
                 f"{class_count} classes exist")
         row[0] = missing
         rows.append(tuple(row))
+    for n in range(g - 2, -1, -1):
+        # row 2g-2-n is row n with every class g-1-n sections higher
+        shift = g - 1 - n
+        rows.append((0,) * shift + rows[n][:g + 1 - shift])
     return StratumTable(genus=g, q=q, class_count=class_count,
                         rows=tuple(rows))

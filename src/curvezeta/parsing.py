@@ -17,14 +17,18 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import CapacityError, ParseError
+from .finitefield import DEFAULT_CAPACITY
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+\-*^]))")
 
 
-def parse_poly_text(text: str, var: str = "x", *, line: int = 1) -> list[int]:
+def parse_poly_text(text: str, var: str = "x", *, line: int = 1,
+                    capacity: int = DEFAULT_CAPACITY) -> list[int]:
     """Parse the polynomial grammar into an integer coefficient list,
-    constant term first.  Coefficients may be any size and sign."""
+    constant term first.  Coefficients may be any size and sign.  An
+    exponent e with e + 1 > capacity is refused (CapacityError) before the
+    list is built."""
     tokens = []  # (kind, value, column)
     pos = 0
     while pos < len(text):
@@ -101,6 +105,10 @@ def parse_poly_text(text: str, var: str = "x", *, line: int = 1) -> list[int]:
             fail("incomplete term", i)
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
     degree = max(coeffs) if coeffs else 0
+    if degree + 1 > capacity:
+        raise CapacityError(
+            f"exponent {degree} needs {degree + 1} coefficients, above the "
+            f"work bound {capacity}")
     out = [coeffs.get(e, 0) for e in range(degree + 1)]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
@@ -117,8 +125,10 @@ class CurveSpecData(namedtuple("CurveSpecData", "p k f h text")):
     __slots__ = ()
 
 
-def parse_curve_spec(text: str, *, line: int = 1) -> CurveSpecData:
+def parse_curve_spec(text: str, *, line: int = 1,
+                     capacity: int = DEFAULT_CAPACITY) -> CurveSpecData:
     """Parse ``p=...; k=...; f=...; h=...``; k defaults to 1, h to 0.
+    capacity bounds the exponents of f and h (parse_poly_text).
 
     Only syntax is judged here; semantic checks (primality, curve shape)
     belong to the field and model constructors.
@@ -142,7 +152,8 @@ def parse_curve_spec(text: str, *, line: int = 1) -> CurveSpecData:
                 raise ParseError(f"{key} must be a positive integer", line, col)
             seen[key] = int(value)
         elif key in ("f", "h"):
-            seen[key] = tuple(parse_poly_text(value, "x", line=line))
+            seen[key] = tuple(parse_poly_text(value, "x", line=line,
+                                              capacity=capacity))
         else:
             raise ParseError(f"unknown key {key!r}", line, col)
         col += len(chunk) + 1

@@ -173,10 +173,11 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
 
 
 def run_table_pipeline(table: MeasureTableData, *,
+                       capacity: int = DEFAULT_CAPACITY,
                        with_timing: bool = True) -> PipelineResult:
     """Numerator and checks for a user-supplied measure table."""
     start = time.perf_counter()
-    measure = zetatwo.measure_from_table(table)
+    measure = zetatwo.measure_from_table(table, capacity=capacity)
     g = measure.genus
     numerator = zetatwo.zeta_numerator(measure)
     structure = zetatwo.numerator_clauses(numerator, g, measure.pic0)

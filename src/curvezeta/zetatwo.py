@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ConsistencyError, InvalidMeasureError
+from .errors import CapacityError, ConsistencyError, InvalidMeasureError
+from .finitefield import DEFAULT_CAPACITY
 from .jacobian import StratumTable
 from .parsing import MeasureTableData
 from .ratpoly import BiPoly, RationalPoly, bivariate_exact_divide, format_poly
@@ -95,8 +96,15 @@ def counting_measure(table: StratumTable, label: str = "counting") -> Measure:
     return measure
 
 
-def measure_from_table(data: MeasureTableData) -> Measure:
+def measure_from_table(data: MeasureTableData, *,
+                       capacity: int = DEFAULT_CAPACITY) -> Measure:
+    """The measure of a parsed table; a genus whose (2g-1)(g+1) entries
+    exceed capacity is refused (CapacityError) before the table is built."""
     g = data.genus
+    if (2 * g - 1) * (g + 1) > capacity:
+        raise CapacityError(
+            f"genus {g} needs a table of {(2 * g - 1) * (g + 1)} entries, "
+            f"above the work bound {capacity}")
     values = [[Fraction(0)] * (g + 1) for _ in range(max(2 * g - 1, 0))]
     for (n, nu), val in data.entries.items():
         if n > max(2 * g - 2, 0) or nu > g or (g == 0 and (n, nu) != (0, 0)):

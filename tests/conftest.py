@@ -161,9 +161,9 @@ def product_sieve(F, degree):
 
 def cantor_add(model, rep1, rep2):
     """The full Cantor composition of two Mumford pairs, then reduction:
-    the reference for curvezeta.jacobian.add, which skips steps in the
-    identity and coprime cases.  Written on curvezeta.fqpoly, with both
-    extended gcds and both exact divisions on every pair."""
+    the reference for curvezeta.jacobian.add, which returns the other
+    operand for IDENTITY.  Written on curvezeta.fqpoly, with both extended
+    gcds and both exact divisions on every pair, IDENTITY included."""
     from curvezeta import fqpoly as fp
     from curvezeta.jacobian import _reduce
     F = model.field

@@ -139,6 +139,23 @@ def test_capacity_exit_3(capsys):
     assert "work bound" in capsys.readouterr().err
 
 
+def test_oversize_inputs_exit_3_under_the_work_bound(tmp_path, capsys):
+    # the spec's exponent and the table's genus are refused as they are
+    # read, before the coefficient list or the value table is built
+    assert main(["verify", "--spec", "p=3; f=x^1000+1",
+                 "--max-work", "1000"]) == 3
+    assert "exponent 1000 needs 1001 coefficients" in capsys.readouterr().err
+    batch = tmp_path / "batch.txt"
+    batch.write_text("p=3; f=x^1000+1\n")
+    assert main(["batch", str(batch), "--max-work", "1000"]) == 4
+    assert "line 1: ERROR CapacityError" in capsys.readouterr().out
+    table = tmp_path / "big.txt"
+    table.write_text("g=30; pic0=1\n")
+    assert main(["verify", "--measure-table", str(table),
+                 "--max-work", "1000"]) == 3
+    assert "genus 30 needs a table of 1829 entries" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["p=11; f=x^5+x+1", "p=13; f=x^5+x+2"])
 def test_default_work_bound_sieves_only_to_degree_2g(spec, capsys):
     # genus 2: the sieve stops at degree 4 (11^4 and 13^4 candidates), and

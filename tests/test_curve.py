@@ -349,7 +349,7 @@ def test_places_listed_on_demand_match_the_counts(text, depth):
     F = model.field
     table = enumerate_places(model, depth)
     # only the degrees the strata read are listed up front
-    strata_depth = min(depth, max(2 * model.genus - 2, 1))
+    strata_depth = min(depth, max(model.genus - 1, 1))
     assert sorted(table.by_degree) == list(range(1, strata_depth + 1))
     backwards = enumerate_places(model, depth)
     for d in range(depth, 0, -1):
@@ -506,7 +506,7 @@ def test_a_deep_degree_over_the_bound_is_refused_when_listed():
                            match=rf"degree-{degree} polynomials .* "
                                  rf"{3 ** degree} "):
             table.places(degree)
-    assert sorted(table.by_degree) == [1, 2, 4]
+    assert sorted(table.by_degree) == [1, 4]
 
 
 @pytest.mark.parametrize("text,m,calls", [

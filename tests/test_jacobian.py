@@ -109,11 +109,12 @@ def test_scalar_multiples(text):
 
 @pytest.mark.parametrize("text", CANTOR_CURVES)
 def test_add_matches_the_full_cantor_composition(text):
-    """add skips steps for an IDENTITY operand, for a one-point operand
-    (deg u = 1) and for coprime u1, u2; every pair of classes, so a + a,
-    a + (-a) and IDENTITY on either side among them, must give the full
-    composition's reduced pair.  The one-point path must meet all three of
-    its cases: a coprime u, the conjugate point, and the same point."""
+    """add returns the other operand for IDENTITY and composes every other
+    pair; every pair of classes, so a + a, a + (-a) and IDENTITY on either
+    side among them, must give the reference composition's reduced pair.
+    The pairs must include coprime and non-coprime u's, and a one-point
+    operand (deg u = 1) against a coprime u, its conjugate point, and the
+    same point."""
     model = build(text)
     F = model.field
     reps = enumerate_jacobian(model)
@@ -238,6 +239,15 @@ def test_strata_reject_understated_class_count():
     table = enumerate_places(model, 4)
     with pytest.raises(StratificationError):
         strata_table(model, table, 5)
+
+
+def test_strata_reject_overstated_class_count():
+    # L(1) = 10: the walked rows have room for an 11th class, so only the
+    # table's own L(T) refuses the count
+    model = build("p=3; f=x^5+1")
+    table = enumerate_places(model, 4)
+    with pytest.raises(StratificationError, match=r"11 is not L\(1\) = 10"):
+        strata_table(model, table, 11)
 
 
 def test_strata_shape_guards():
@@ -372,19 +382,28 @@ def test_strata_walk_matches_divisor_by_divisor_buckets(text, extension,
         return add(*args)
 
     monkeypatch.setattr(jacobian, "add", counted_add)
-    # the walk recurses once per place added: 2g-2 levels plus the few
-    # frames of one Cantor addition must do, fewer than the listed places
-    headroom = top + 10
-    listed = sum(table.count(d) for d in range(1, top + 1))
-    assert listed > headroom
+    strata = strata_table(model, table, pic0)
+    # the walked rows 0..g-1 and the rows g..2g-2 read off them by D -> K - D
+    assert strata.rows == tuple(expected)
+    # one addition per effective divisor of degree 1..g-1, and one per
+    # place listed to degree g-1 for its image; nothing deeper is walked
+    divisors = sum(effective_divisor_count(table, g - 1)[1:])
+    listed = sum(table.count(d) for d in range(1, g))
+    assert len(calls) == divisors + listed
+
+
+def test_strata_walk_recurses_per_place_added():
+    # genus 3 over F_7: 50 places of degree <= g-1 = 2, so a walk that
+    # recursed per listed place, not per place added, would pass the limit
+    model = build("p=7; f=x^7+x+1")
+    g = model.genus
+    table = enumerate_places(model, g)
+    # g-1 levels plus the few frames of one Cantor addition must do
+    headroom = g - 1 + 10
+    assert sum(table.count(d) for d in range(1, g)) > headroom
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_recursion_depth() + headroom)
     try:
-        strata = strata_table(model, table, pic0)
+        strata_table(model, table, class_number(table.lpoly))
     finally:
         sys.setrecursionlimit(limit)
-    assert strata.rows == tuple(expected)
-    # one addition per effective divisor of degree 1..2g-2, plus at most
-    # one per listed place for its image
-    divisors = sum(effective_divisor_count(table, top)[1:])
-    assert divisors <= len(calls) <= divisors + listed

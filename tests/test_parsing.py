@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from curvezeta import parse_curve_spec, parse_measure_table, parse_poly_text
-from curvezeta.errors import ParseError
+from curvezeta.errors import CapacityError, ParseError
 from curvezeta.parsing import format_fq_poly
 
 
@@ -142,3 +142,19 @@ def test_format_fq_poly():
     assert format_fq_poly((1, 2)) == "2*x+1"
     assert format_fq_poly((0,)) == "0"
     assert format_fq_poly(()) == "0"
+
+
+def test_an_exponent_over_the_work_bound_is_refused_before_allocating():
+    # degree e needs e + 1 coefficients: 100 fit a bound of 100, 101 do not
+    assert len(parse_poly_text("x^99+1", capacity=100)) == 100
+    with pytest.raises(CapacityError, match=r"exponent 100 needs 101 "
+                                            r"coefficients, above the work "
+                                            r"bound 100"):
+        parse_poly_text("x^100+1", capacity=100)
+    # a product of powers counts too, and so do cancelling terms
+    with pytest.raises(CapacityError):
+        parse_poly_text("x^60*x^60", capacity=100)
+    with pytest.raises(CapacityError):
+        parse_poly_text("x^200-x^200", capacity=100)
+    with pytest.raises(CapacityError, match="work bound 100"):
+        parse_curve_spec("p=3; f=x^5+1; h=x^300", capacity=100)

@@ -17,7 +17,8 @@ from curvezeta import (BiPoly, Measure, classical_specialization,
                        parse_measure_table, scaled_numerator, strata_table,
                        stratum_count_clauses, validate_measure, validate_model,
                        zeta_numerator, zeta_series)
-from curvezeta.errors import ConsistencyError, InvalidMeasureError
+from curvezeta.errors import (CapacityError, ConsistencyError,
+                              InvalidMeasureError)
 from curvezeta.zetatwo import strata_polynomial
 
 T, U = BiPoly.t(), BiPoly.u()
@@ -211,3 +212,14 @@ def test_counting_measure_carries_field_order(worked_elliptic):
     assert measure.label == "counting"
     assert measure.value(0, 1) == 1
     assert measure.value(7, 0) == 0  # out of range
+
+
+def test_a_genus_over_the_work_bound_is_refused_before_allocating():
+    # genus 6 needs (2g-1)(g+1) = 77 entries and genus 7 needs 104
+    table = parse_measure_table("g=7; pic0=1\n")
+    with pytest.raises(CapacityError, match=r"genus 7 needs a table of 104 "
+                                            r"entries, above the work bound "
+                                            r"100"):
+        measure_from_table(table, capacity=100)
+    with pytest.raises(InvalidMeasureError):  # refused for its shape only
+        measure_from_table(parse_measure_table("g=6; pic0=1\n"), capacity=100)
