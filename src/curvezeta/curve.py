@@ -144,16 +144,9 @@ def base_change(model: HyperellipticModel, m: int, *,
 def count_points(model: HyperellipticModel, m: int = 1, *,
                  capacity: int = DEFAULT_CAPACITY) -> int:
     """|X(F_(q^m))| on the smooth model: affine solutions plus the one
-    infinite point, by exhaustion over x.
+    infinite point, by exhaustion over x on the base change to F_(q^m).
     """
-    src = model.field
-    if m == 1:
-        ext, emb = src, (lambda a: a)
-    else:
-        ext = extension_field(src.p, src.degree * m, capacity=capacity)
-        emb = field_embedding(src, ext)
-    f_e = fp.map_coeffs(emb, model.f)
-    h_e = fp.map_coeffs(emb, model.h)
+    ext, f_e, h_e, _ = base_change(model, m, capacity=capacity)
     total = 1
     if ext.p != 2:
         counts = bytearray(ext.order)

@@ -16,7 +16,6 @@ built once at construction time.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, islice
 
 from .errors import CapacityError, ConsistencyError, ModelShapeError
 
@@ -75,19 +74,10 @@ class FiniteField:
 
     def __init__(self, p: int, degree: int = 1, *,
                  capacity: int = DEFAULT_CAPACITY):
-        if not is_prime(p):
-            raise ModelShapeError(f"characteristic {p} is not prime")
-        if degree < 1:
-            raise ModelShapeError(f"extension degree must be positive, got {degree}")
-        order = p ** degree
-        if order > capacity:
-            raise CapacityError(
-                f"field order {p}^{degree} = {order} exceeds the work bound {capacity}")
+        order = _admit(p, degree, capacity)
         self.p = p
-        self.base_order = p
         self.degree = degree
         self.order = order
-        self.one = 1
         if degree == 1:
             self.modulus = (0, 1)
             self._exp = self._log = None
@@ -204,10 +194,7 @@ class FiniteField:
             acc = self.add(acc, t)
         return acc
 
-    # -- encodings and iteration ---------------------------------------------
-
-    def elements(self):
-        return range(self.order)
+    # -- encodings -----------------------------------------------------------
 
     def coeff_vector(self, a: int) -> tuple[int, ...]:
         return _digits(a, self.p, self.degree)
@@ -235,55 +222,39 @@ class FiniteField:
         return f"GF({self.p}^{self.degree})"
 
 
-def tonelli_sqrt(field, a: int) -> int | None:
-    """Tonelli-Shanks square root over any odd-order field-like object."""
-    q = field.order
-    if field.pow(a, (q - 1) // 2) != field.one:
-        return None
-    if q % 4 == 3:
-        return field.pow(a, (q + 1) // 4)
-    s, t = 0, q - 1
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    # elements() lists the base_order constants first.  In an extension of
-    # even degree every constant is a square, so they are tried last; a
-    # field of degree one has nothing else.
-    k = field.base_order
-    candidates = chain(islice(field.elements(), k, None),
-                       islice(field.elements(), 1, k))
-    z = next(cand for cand in candidates
-             if field.pow(cand, (q - 1) // 2) != field.one)
-    c = field.pow(z, t)
-    r = field.pow(a, (t + 1) // 2)
-    u = field.pow(a, t)
-    m = s
-    while u != field.one:
-        i, v = 0, u
-        while v != field.one:
-            v = field.mul(v, v)
-            i += 1
-        b = field.pow(c, 1 << (m - i - 1))
-        r = field.mul(r, b)
-        c = field.mul(b, b)
-        u = field.mul(u, c)
-        m = i
-    return r
-
-
-def _digits(value: int, p: int, k: int) -> tuple[int, ...]:
+def _digits(value: int, base: int, k: int) -> tuple[int, ...]:
+    """The k lowest base-`base` digits of value, least significant first:
+    the one decoder of element encodings (base p) and of polynomial keys
+    (base q)."""
     out = []
     for _ in range(k):
-        out.append(value % p)
-        value //= p
+        out.append(value % base)
+        value //= base
     return tuple(out)
 
 
-def _undigits(coeffs, p: int) -> int:
+def _undigits(digits, base: int) -> int:
+    """The inverse of _digits: sum(digits[i] * base**i)."""
     t = 0
-    for c in reversed(list(coeffs)):
-        t = t * p + c
+    for c in reversed(digits):
+        t = t * base + c
     return t
+
+
+def _admit(p: int, degree: int, capacity: int) -> int:
+    """The order p^degree of an admissible field: p prime, degree >= 1 and
+    the order within the work bound.  As p >= 2, a degree of at least
+    capacity.bit_length() is refused before p^degree is computed."""
+    if not is_prime(p):
+        raise ModelShapeError(f"characteristic {p} is not prime")
+    if degree < 1:
+        raise ModelShapeError(f"extension degree must be positive, got {degree}")
+    if degree < capacity.bit_length():
+        order = p ** degree
+        if order <= capacity:
+            return order
+    raise CapacityError(
+        f"field order {p}^{degree} exceeds the work bound {capacity}")
 
 
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
@@ -295,11 +266,7 @@ def extension_field(p: int, degree: int = 1, *, capacity: int = DEFAULT_CAPACITY
     The capacity bound is enforced on every call, cached or not, so a caller
     with a tight work budget is refused consistently.
     """
-    if not is_prime(p):
-        raise ModelShapeError(f"characteristic {p} is not prime")
-    if degree >= 1 and p ** degree > capacity:
-        raise CapacityError(
-            f"field order {p}^{degree} exceeds the work bound {capacity}")
+    _admit(p, degree, capacity)
     key = (p, degree)
     field = _FIELD_CACHE.get(key)
     if field is None:

@@ -8,10 +8,10 @@ base field of a curve and the big fields used for point counting.
 
 from __future__ import annotations
 
-from itertools import compress, product
+from itertools import chain, compress, product
 
 from .errors import CapacityError
-from .finitefield import DEFAULT_CAPACITY, tonelli_sqrt
+from .finitefield import DEFAULT_CAPACITY, _digits, _undigits
 
 X = (0, 1)
 
@@ -183,19 +183,18 @@ def map_coeffs(phi, a):
 
 def encode(F, a) -> int:
     """Base-q integer key of a coefficient tuple (little-endian)."""
-    t = 0
-    for c in reversed(a):
-        t = t * F.order + c
-    return t
+    return _undigits(a, F.order)
+
+
+def decode(F, value: int, degree: int) -> tuple:
+    """The polynomial of degree < degree whose key is value."""
+    return trim(_digits(value, F.order, degree))
 
 
 def decode_monic(F, value: int, degree: int) -> tuple:
-    cs = []
-    for _ in range(degree):
-        cs.append(value % F.order)
-        value //= F.order
-    cs.append(1)
-    return tuple(cs)
+    """The monic polynomial of the given degree whose key, with the
+    leading 1 left out, is value."""
+    return _digits(value, F.order, degree) + (1,)
 
 
 def is_irreducible(F, poly) -> bool:
@@ -254,10 +253,6 @@ def monic_irreducibles(F, degree: int, *, capacity: int = DEFAULT_CAPACITY) -> t
     q = F.order
     for d in range(1, degree + 1):
         if d in F._irreducibles:
-            continue
-        if d == 1:
-            polys = tuple((F.neg(r), 1) for r in range(q))
-            F._irreducibles[1] = tuple(sorted(polys, key=lambda t: encode(F, t)))
             continue
         composite = bytearray(q ** d)
         for a in range(1, d // 2 + 1):
@@ -599,18 +594,13 @@ def _trace_to_fq(log, exp, a, u) -> int:
 
 class QuotientRing:
     """F_q[x] / (u) for monic u; a field whenever u is irreducible.
-
-    Shares the duck-typed interface of FiniteField that the square-root
-    helpers rely on: order, base_order, one, elements(), mul, pow, inv.
-    """
+    Elements are polynomials of degree < deg u."""
 
     def __init__(self, field, modulus):
         self.field = field
         self.modulus = tuple(modulus)
         self.d = deg(self.modulus)
-        self.base_order = field.order
         self.order = field.order ** self.d
-        self.one = (1,)
 
     def reduce(self, a):
         return mod(self.field, a, self.modulus)
@@ -639,20 +629,46 @@ class QuotientRing:
         return pow_mod(self.field, a, e, self.modulus)
 
     def elements(self):
-        q = self.field.order
-        for value in range(self.order):
-            cs = []
-            v = value
-            for _ in range(self.d):
-                cs.append(v % q)
-                v //= q
-            yield trim(cs)
+        """Every element, in key order."""
+        return (decode(self.field, v, self.d) for v in range(self.order))
 
     def sqrt(self, a):
-        """A square root in the quotient field, or None (odd order only)."""
+        """A square root in the quotient field, or None (odd order only),
+        by Tonelli-Shanks."""
         if not a:
             return ()
-        return tonelli_sqrt(self, a)
+        q = self.order
+        half = (q - 1) // 2
+        if self.pow(a, half) != (1,):
+            return None
+        if q % 4 == 3:
+            return self.pow(a, (q + 1) // 4)
+        s, t = 0, q - 1
+        while t % 2 == 0:
+            t //= 2
+            s += 1
+        # A non-residue z, in key order but with the constants last: in a
+        # ring of even degree every constant is a square, and a ring of
+        # degree one has nothing else.
+        k = self.field.order
+        z = next(z for z in (decode(self.field, v, self.d)
+                             for v in chain(range(k, q), range(1, k)))
+                 if self.pow(z, half) != (1,))
+        c = self.pow(z, t)
+        r = self.pow(a, (t + 1) // 2)
+        u = self.pow(a, t)
+        m = s
+        while u != (1,):
+            i, v = 0, u
+            while v != (1,):
+                v = self.mul(v, v)
+                i += 1
+            b = self.pow(c, 1 << (m - i - 1))
+            r = self.mul(r, b)
+            c = self.mul(b, b)
+            u = self.mul(u, c)
+            m = i
+        return r
 
 
 def artin_schreier_solve(ring: QuotientRing, w):

@@ -126,16 +126,11 @@ def enumerate_jacobian(model: HyperellipticModel, *,
         for uval in range(q ** d):
             u = fp.decode_monic(F, uval, d)
             for vval in range(q ** d):
-                v = []
-                t = vval
-                for _ in range(d):
-                    v.append(t % q)
-                    t //= q
-                v = fp.trim(v)
+                v = fp.decode(F, vval, d)
                 probe = fp.add(F, fp.mul(F, v, v),
                                fp.sub(F, fp.mul(F, v, model.h), model.f))
                 if not fp.mod(F, probe, u):
-                    out.append((u, tuple(v)))
+                    out.append((u, v))
     return tuple(sorted(out, key=lambda rep: (fp.deg(rep[0]),
                                               fp.encode(F, rep[0]),
                                               fp.encode(F, rep[1]))))

@@ -23,6 +23,16 @@ from .finitefield import DEFAULT_CAPACITY
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+\-*^]))")
 
 
+def _literal(digits: str, line: int, col: int) -> int:
+    """The int of a run of decimal digits; one longer than the
+    interpreter converts (sys.get_int_max_str_digits) is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too "
+                         "long", line, col) from None
+
+
 def parse_poly_text(text: str, var: str = "x", *, line: int = 1,
                     capacity: int = DEFAULT_CAPACITY) -> list[int]:
     """Parse the polynomial grammar into an integer coefficient list,
@@ -40,7 +50,8 @@ def parse_poly_text(text: str, var: str = "x", *, line: int = 1,
             col = pos + len(text[pos:]) - len(stripped) + 1
             raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
         if m.group(1) is not None:
-            tokens.append(("num", int(m.group(1)), m.start(1) + 1))
+            col = m.start(1) + 1
+            tokens.append(("num", _literal(m.group(1), line, col), col))
         elif m.group(2) is not None:
             name = m.group(2)
             if name != var:
@@ -150,7 +161,7 @@ def parse_curve_spec(text: str, *, line: int = 1,
         if key in ("p", "k"):
             if not re.fullmatch(r"\d+", value):
                 raise ParseError(f"{key} must be a positive integer", line, col)
-            seen[key] = int(value)
+            seen[key] = _literal(value, line, col)
         elif key in ("f", "h"):
             seen[key] = tuple(parse_poly_text(value, "x", line=line,
                                               capacity=capacity))
@@ -206,7 +217,7 @@ def parse_measure_table(text: str) -> MeasureTableData:
                 if key == "g":
                     if not re.fullmatch(r"\d+", value):
                         raise ParseError("g must be a nonnegative integer", lineno, 1)
-                    genus = int(value)
+                    genus = _literal(value, lineno, 1)
                 elif key == "pic0":
                     pic0 = _parse_fraction(value, lineno, 1)
                 else:

@@ -193,18 +193,17 @@ def run_table_pipeline(table: MeasureTableData, *,
                      start, with_timing)
 
 
-def _jsonable(value):
+def _fraction_text(value):
+    """json.dumps's hook for the values it cannot encode: a Fraction
+    prints as its string, and any other type is refused."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, dict):
-        return {key: _jsonable(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} has no canonical JSON form")
 
 
 def canonical_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2,
+                      default=_fraction_text) + "\n"
 
 
 def render_text(report: dict, *, show_clauses: bool = False) -> str:

@@ -133,6 +133,12 @@ def test_input_errors_exit_2(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_an_over_long_literal_exits_2(capsys):
+    # 5000 digits, past the interpreter's int() limit of 4300
+    assert main(["verify", "--spec", "p=3; f=x^3+" + "1" * 5000 + "*x"]) == 2
+    assert "literal of 5000 digits" in capsys.readouterr().err
+
+
 def test_capacity_exit_3(capsys):
     assert main(["verify", "--spec", "p=3; k=12; f=x^3+x",
                  "--max-work", "1000"]) == 3

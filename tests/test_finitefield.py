@@ -4,9 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from curvezeta import FiniteField, extension_field
+from curvezeta import fqpoly as fp
 from curvezeta.errors import CapacityError, ModelShapeError
-from curvezeta.finitefield import tonelli_sqrt
 from conftest import field_sqrt
+
+
+def ring_sqrt(F, a):
+    """Tonelli-Shanks in F, run in the quotient ring F[x]/(x), which is F
+    with each element a written as the constant polynomial (a,)."""
+    root = fp.QuotientRing(F, fp.X).sqrt(fp.trim((a,)))
+    if root is None:
+        return None
+    return root[0] if root else 0
 
 
 @given(st.sampled_from([2, 3, 5, 7, 13]), st.data())
@@ -48,7 +57,7 @@ def test_default_modulus_is_lex_smallest_irreducible(p, k, modulus):
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2)])
 def test_extension_field_axioms_exhaustive(p, k):
     F = extension_field(p, k)
-    els = list(F.elements())
+    els = list(range(F.order))
     assert len(els) == p ** k
     for a in els[:6]:
         for b in els:
@@ -66,10 +75,10 @@ def test_extension_field_axioms_exhaustive(p, k):
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
 def test_sqrt_odd_characteristic(p, k):
     F = extension_field(p, k)
-    squares = {F.mul(a, a) for a in F.elements()}
+    squares = {F.mul(a, a) for a in range(F.order)}
     assert len(squares) == (F.order + 1) // 2
-    for a in F.elements():
-        root = field_sqrt(F, a)
+    for a in range(F.order):
+        root = ring_sqrt(F, a)
         if a in squares:
             assert root is not None and F.mul(root, root) == a
         else:
@@ -79,9 +88,9 @@ def test_sqrt_odd_characteristic(p, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sqrt_characteristic_two_is_bijective(k):
     F = extension_field(2, k)
-    roots = {field_sqrt(F, a) for a in F.elements()}
+    roots = {field_sqrt(F, a) for a in range(F.order)}
     assert len(roots) == F.order
-    for a in F.elements():
+    for a in range(F.order):
         r = field_sqrt(F, a)
         assert F.mul(r, r) == a
 
@@ -90,7 +99,7 @@ def test_tonelli_on_prime_fields():
     for p in (3, 5, 7, 11, 13):
         F = extension_field(p)
         for a in range(1, p):
-            root = tonelli_sqrt(F, a)
+            root = ring_sqrt(F, a)
             if root is not None:
                 assert (root * root) % p == a
             else:
@@ -100,19 +109,19 @@ def test_tonelli_on_prime_fields():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_absolute_trace_additive_and_balanced(k):
     F = extension_field(2, k)
-    values = [F.absolute_trace(a) for a in F.elements()]
+    values = [F.absolute_trace(a) for a in range(F.order)]
     assert set(values) <= {0, 1}
     # the trace is onto F_2 with equal fibers
     assert values.count(0) == values.count(1) == F.order // 2
-    for a in list(F.elements())[:8]:
-        for b in F.elements():
+    for a in range(min(8, F.order)):
+        for b in range(F.order):
             assert (F.absolute_trace(F.add(a, b))
                     == F.absolute_trace(a) ^ F.absolute_trace(b))
 
 
 def test_coeff_vector_round_trip():
     F = extension_field(3, 2)
-    for a in F.elements():
+    for a in range(F.order):
         vec = F.coeff_vector(a)
         assert len(vec) == 2
         assert F.from_coeffs(vec) == a
@@ -131,6 +140,28 @@ def test_capacity_bound_enforced_even_when_cached():
         extension_field(5, 2, capacity=10)
     with pytest.raises(CapacityError):
         FiniteField(5, 4, capacity=100)
+
+
+def test_a_degree_past_the_bound_is_refused_before_its_order():
+    # 3^30000000 has about 14 million digits; admission must refuse the
+    # degree without computing it, so p ** degree is never taken
+    powers = []
+
+    class Spy(int):
+        def __pow__(self, *args):
+            powers.append(args)
+            return int.__pow__(self, *args)
+
+    p = Spy(3)
+    message = r"field order 3\^30000000 exceeds the work bound 1000000"
+    with pytest.raises(CapacityError, match=message):
+        extension_field(p, 30000000, capacity=10**6)
+    with pytest.raises(CapacityError, match=message):
+        FiniteField(p, 30000000, capacity=10**6)
+    assert powers == []
+    # the spy sees the order of a field that is admitted
+    assert FiniteField(p, 1, capacity=10**6).order == 3
+    assert powers
 
 
 def test_field_cache_returns_identical_objects():

@@ -8,6 +8,9 @@ from curvezeta import parse_curve_spec, parse_measure_table, parse_poly_text
 from curvezeta.errors import CapacityError, ParseError
 from curvezeta.parsing import format_fq_poly
 
+# longer than the 4300 digits that int() converts by default
+LONG = "1" * 5000
+
 
 @pytest.mark.parametrize("text,coeffs", [
     ("x^3+x", [0, 1, 0, 1]),
@@ -33,6 +36,8 @@ def test_poly_grammar(text, coeffs):
     ("*x", 1),
     ("x+", 3),
     ("", 1),
+    pytest.param(f"x^3+{LONG}*x", 5, id="long-coefficient"),
+    pytest.param(f"x^{LONG}+1", 3, id="long-exponent"),
 ])
 def test_poly_errors_carry_column(text, column):
     with pytest.raises(ParseError) as info:
@@ -70,6 +75,16 @@ def test_curve_spec_syntax_only():
 def test_curve_spec_rejections(text):
     with pytest.raises(ParseError):
         parse_curve_spec(text)
+
+
+@pytest.mark.parametrize("text,column", [
+    pytest.param(f"p={LONG}; f=x", 1, id="p"),
+    pytest.param(f"p=3; k={LONG}; f=x", 5, id="k"),
+])
+def test_an_over_long_p_or_k_is_a_parse_error(text, column):
+    with pytest.raises(ParseError, match="literal of 5000 digits") as info:
+        parse_curve_spec(text, line=2)
+    assert (info.value.line, info.value.column) == (2, column)
 
 
 def test_curve_spec_propagates_line_number():
@@ -124,6 +139,9 @@ def test_measure_table_values_are_fractions_or_decimals(value, exact):
     ("g=1; pic0=1,5\n0 0 1", "not a rational a/b or a decimal"),
     ("g=1; pic0=2\n0 0 1\n0 0 2", "duplicate stratum"),
     ("g=x; pic0=2", "nonnegative integer"),
+    pytest.param(f"# header next\ng={LONG}; pic0=1",
+                 "line 2, column 1: integer literal of 5000 digits",
+                 id="long-genus"),
 ])
 def test_measure_table_rejections(text, fragment):
     with pytest.raises(ParseError) as info:

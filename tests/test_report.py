@@ -130,6 +130,12 @@ def test_rational_table_prints_every_coefficient_as_a_string():
                                                 ["0", "1"]]
 
 
+def test_canonical_json_refuses_a_type_without_a_canonical_form():
+    # only Fractions are turned into strings; anything else fails loudly
+    with pytest.raises(TypeError):
+        canonical_json({"x": object()})
+
+
 def test_table_pipeline_has_no_divisor_checks():
     table = parse_measure_table("g=1; pic0=0\n0 0 -1\n0 1 1\n")
     result = run_table_pipeline(table)
