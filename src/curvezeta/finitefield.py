@@ -9,13 +9,14 @@ the field in a canonical order.
 For k > 1 the chosen modulus is the monic irreducible polynomial of degree k
 whose non-leading coefficient vector has the smallest base-p encoding, so a
 given (p, k) always produces the same field with the same element labels.
-Multiplication, inversion and powering then go through discrete-log tables
-built once at construction time.
+Every field but an odd prime field builds one table set at construction
+time: discrete logs and exps of a generator, with the absolute-trace mask
+in characteristic 2 and the Zech logarithms of an odd extension field.  The
+field's own arithmetic and fqpoly's list kernels both read it; an odd prime
+field reduces mod p instead.
 """
 
 from __future__ import annotations
-
-from array import array
 
 from .errors import CapacityError, ConsistencyError, ModelShapeError
 
@@ -78,9 +79,11 @@ class FiniteField:
         self.p = p
         self.degree = degree
         self.order = order
+        self._log = self._exp = self._mask = self._zech = None
         if degree == 1:
             self.modulus = (0, 1)
-            self._exp = self._log = None
+            if p == 2:
+                self._build_tables([1])
         else:
             from . import fqpoly as fp  # fqpoly imports this module
             prime = extension_field(p, capacity=capacity)
@@ -91,16 +94,16 @@ class FiniteField:
                 raise ConsistencyError(
                     f"no irreducible polynomial of degree {degree} over F_{p}")
             self.modulus = modulus
-            self._build_log_tables(prime)
+            self._build_tables(self._powers(prime))
         self._irreducibles: dict[int, tuple] = {}
         self._embeddings: dict = {}
-        self._tables = None  # fqpoly's list-kernel tables, built on first use
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_log_tables(self, prime: FiniteField):
-        """exp/log tables of a generator, multiplying coefficient vectors of
-        the element encodings as polynomials over the prime field."""
+    def _powers(self, prime: FiniteField) -> list:
+        """[g^0, ..., g^(q-2)] for the generator g of the unit group with
+        the smallest encoding, multiplying coefficient vectors of the
+        element encodings as polynomials over the prime field."""
         from . import fqpoly as fp
         p, k, q = self.p, self.degree, self.order
         mod = self.modulus
@@ -114,46 +117,62 @@ class FiniteField:
                            for f in factors)), None)
         if gen is None:
             raise ConsistencyError(f"no generator of the unit group of {self!r}")
-        exp = array('q', [1] * (q - 1))
-        log = array('q', [-1] * q)
+        powers = []
         acc, gen_poly = (1,), poly(gen)
-        for i in range(q - 1):
-            value = _undigits(acc, p)
-            exp[i] = value
-            log[value] = i
+        for _ in range(q - 1):
+            powers.append(_undigits(acc, p))
             acc = fp.mod(prime, fp.mul(prime, acc, gen_poly), mod)
         self.generator = gen
-        self._exp = exp
+        return powers
+
+    def _build_tables(self, powers: list) -> None:
+        """The field's one table set, from powers[i] = g^i for i < n =
+        q - 1; the methods below and fqpoly's list kernels read it.  _log[c]
+        is the log of c, and 2n for c = 0.  _exp[i] is g^i for i < 2n and 0
+        up to 4n, so _exp[_log[a] + _log[b]] = a*b for every a and b.  In
+        characteristic 2, _mask keeps the coordinates whose basis element
+        has absolute trace 1.  For odd q, _zech[i] = log(1 + g^i), written
+        twice so that any i in (-2n, 2n) indexes it (Lidl and Niederreiter,
+        Finite Fields, ch. 2).  An odd prime field has no tables.
+        """
+        p, k, n = self.p, self.degree, len(powers)
+        log = [2 * n] * (n + 1)
+        for i, c in enumerate(powers):
+            log[c] = i
         self._log = log
+        self._exp = powers * 2 + [0] * (2 * n + 1)
+        if p == 2:
+            # Tr(c) = c + c^2 + ... + c^(2^(k-1)) lies in F_2, so it is the
+            # parity of the lowest bits of its terms
+            self._mask = sum(1 << i for i in range(k) if sum(
+                powers[(log[1 << i] << j) % n] & 1 for j in range(k)) & 1)
+        else:
+            # 1 + c steps the lowest base-p digit of c
+            self._zech = [log[c + 1 if c % p != p - 1 else c + 1 - p]
+                          for c in powers] * 2
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.degree == 1:
-            return (a + b) % p
-        if p == 2:
+            return (a + b) % self.p
+        if self.p == 2:
             return a ^ b
-        t, scale = 0, 1
-        while a or b:
-            t += ((a + b) % p) * scale
-            a //= p
-            b //= p
-            scale *= p
-        return t
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        return self._exp[la + self._zech[log[b] - la]]
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.degree == 1:
-            return (-a) % p
-        if p == 2:
+            return (-a) % self.p
+        if self.p == 2:
             return a
-        t, scale = 0, 1
-        while a:
-            t += (-a % p) * scale
-            a //= p
-            scale *= p
-        return t
+        # -1 = g^(n/2), and _log[0] + n/2 still reads 0
+        return self._exp[self._log[a] + (self.order - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -161,18 +180,14 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
             return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        n = self.order - 1
-        return self._exp[(self._log[a] + self._log[b]) % n]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
         if self.degree == 1:
             return pow(a, self.p - 2, self.p)
-        n = self.order - 1
-        return self._exp[(n - self._log[a]) % n]
+        return self._exp[self.order - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -182,17 +197,13 @@ class FiniteField:
         n = self.order - 1
         if self.degree == 1:
             return pow(a, e % n if n else 0, self.p)
-        return self._exp[(self._log[a] * e) % n]
+        return self._exp[self._log[a] * e % n]
 
     def absolute_trace(self, a: int) -> int:
         """Trace down to F_2 (characteristic 2 only), as the int 0 or 1."""
         if self.p != 2:
             raise ValueError("absolute_trace is only provided in characteristic 2")
-        acc, t = a, a
-        for _ in range(self.degree - 1):
-            t = self.mul(t, t)
-            acc = self.add(acc, t)
-        return acc
+        return (a & self._mask).bit_count() & 1
 
     # -- encodings -----------------------------------------------------------
 

@@ -4,6 +4,14 @@ Polynomials are tuples of int-encoded field elements, constant term first,
 with no trailing zeros; the zero polynomial is the empty tuple.  Every
 function takes the field as its first argument, so the same code serves the
 base field of a curve and the big fields used for point counting.
+
+Products and divisions run on int lists, in one kernel per field kind:
+integers mod p over an odd prime field, the field's log tables in
+characteristic 2, and log tables with Zech logarithms over an odd extension
+field (FiniteField._build_tables).  mul, divmod_ and mod wrap them, and the
+class tests of places call them directly.  A division kernel reduces a in
+place and returns the remainder, trimmed; it never writes a[deg b:], which
+keeps lead(b) times the quotient (mod p, over a prime field).
 """
 
 from __future__ import annotations
@@ -65,59 +73,149 @@ def scale(F, c, a):
 
 
 def mul(F, a, b):
-    if not a or not b:
-        return ()
-    prod = [0] * (len(a) + len(b) - 1)
+    if F.p == 2:
+        return tuple(_mul2(F._log, F._exp, a, b))
     if F.degree == 1:
-        # prime field: elements are least residues, so integer convolution
-        # followed by one reduction pass is exact
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    prod[i + j] += ca * cb
-        p = F.p
-        return trim([c % p for c in prod])
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    prod[i + j] = F.add(prod[i + j], F.mul(ca, cb))
-    return trim(prod)
+        return tuple(_mul_p(F.p, a, b))
+    return tuple(_mul_zech(F._log, F._exp, F._zech, a, b))
 
 
 def divmod_(F, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    quot = [0] * max(0, len(a) - len(b) + 1)
-    if F.degree == 1:
-        p = F.p
-        lead = b[-1]
-        inv_lead = 1 if lead == 1 else pow(lead, -1, p)
-        nb = len(b)
-        while len(a) >= nb:
-            c = a[-1] if inv_lead == 1 else (a[-1] * inv_lead) % p
-            shift = len(a) - nb
-            if c:
-                quot[shift] = c
-                for j in range(nb - 1):
-                    a[shift + j] = (a[shift + j] - c * b[j]) % p
-            del a[-1]
-        return trim(quot), trim(a)
-    inv_lead = F.inv(b[-1])
-    while len(a) >= len(b):
-        c = F.mul(a[-1], inv_lead)
-        shift = len(a) - len(b)
-        if c:
-            quot[shift] = c
-            for j in range(len(b)):
-                a[shift + j] = F.sub(a[shift + j], F.mul(c, b[j]))
-        del a[-1]
-    return trim(quot), trim(a)
+    rem = _reduce(F, a, b)
+    return scale(F, F.inv(b[-1]), a[len(b) - 1:]), rem
 
 
 def mod(F, a, b):
-    return divmod_(F, a, b)[1]
+    return _reduce(F, list(a), b)
+
+
+def _reduce(F, a: list, b) -> tuple:
+    """a mod b through the field kind's division kernel; a is consumed."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if F.p == 2:
+        return tuple(_divmod2(F._log, F._exp, a, b))
+    if F.degree == 1:
+        return tuple(_divmod_p(F.p, a, b))
+    return tuple(_divmod_zech(F._log, F._exp, F._zech, a, b))
+
+
+# -- list kernels (see the module docstring) -----------------------------
+
+
+def _mul_p(p, a, b) -> list:
+    """The product over the prime field F_p: elements are least residues,
+    so integer convolution followed by one reduction pass is exact."""
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                prod[i + j] += ca * cb
+    return [c % p for c in prod]
+
+
+def _divmod_p(p, a: list, b) -> list:
+    """Division over the prime field F_p, a a list of least residues.  b is
+    made monic once, and the coefficients of a reduce mod p lazily: each
+    top one as it is divided out, the rest once at the end."""
+    nb = len(b) - 1
+    if len(a) > nb:
+        if b[-1] != 1:
+            inv_lead = pow(b[-1], -1, p)
+            b = [c * inv_lead % p for c in b]
+        for top in range(len(a) - 1, nb - 1, -1):
+            c = a[top] % p
+            if c:
+                s = top - nb
+                for j in range(nb):
+                    a[s + j] -= c * b[j]
+        a = [x % p for x in a[:nb]]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul2(log, exp, a, b) -> list:
+    """The product in characteristic 2."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    logs_b = [log[c] for c in b]
+    for i, c in enumerate(a):
+        if c:
+            lc = log[c]
+            for j, lb in enumerate(logs_b):
+                out[i + j] ^= exp[lc + lb]
+    return out
+
+
+def _divmod2(log, exp, a: list, b) -> list:
+    """Division in characteristic 2."""
+    n = len(log) - 1
+    nb = len(b) - 1
+    if len(a) > nb:
+        # logs of the nonzero b_j / b_lead
+        shift = -log[b[-1]]
+        logs_b = [(j, (log[c] + shift) % n) for j, c in enumerate(b[:-1]) if c]
+        for top in range(len(a) - 1, nb - 1, -1):
+            c = a[top]
+            if c:
+                lc, s = log[c], top - nb
+                for j, lb in logs_b:
+                    a[s + j] ^= exp[lc + lb]
+        a = a[:nb]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul_zech(log, exp, zech, a, b) -> list:
+    """The product over an odd extension field: terms multiply through the
+    log tables and add by Zech logarithms, y + g^l = g^(log y + zech[l -
+    log y])."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    logs_b = [(j, log[c]) for j, c in enumerate(b) if c]
+    for i, c in enumerate(a):
+        if c:
+            lc = log[c]
+            for j, lb in logs_b:
+                y = out[i + j]
+                if y:
+                    ly = log[y]
+                    out[i + j] = exp[ly + zech[lc + lb - ly]]
+                else:
+                    out[i + j] = exp[lc + lb]
+    return out
+
+
+def _divmod_zech(log, exp, zech, a: list, b) -> list:
+    """Division over an odd extension field, with the sums of _mul_zech."""
+    n = len(log) - 1
+    nb = len(b) - 1
+    if len(a) > nb:
+        # logs of the nonzero -b_j / b_lead; -1 = g^(n/2)
+        shift = n // 2 - log[b[-1]]
+        neg_b = [(j, (log[c] + shift) % n) for j, c in enumerate(b[:-1]) if c]
+        for top in range(len(a) - 1, nb - 1, -1):
+            c = a[top]
+            if c:
+                lc, s = log[c], top - nb
+                for j, lb in neg_b:
+                    y = a[s + j]
+                    if y:
+                        ly = log[y]
+                        a[s + j] = exp[ly + zech[lc + lb - ly]]
+                    else:
+                        a[s + j] = exp[lc + lb]
+        a = a[:nb]
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def monic(F, a):
@@ -333,69 +431,6 @@ def _mark_products(F, composite, p_low, m: int) -> None:
                 return
 
 
-def _tables(F):
-    """(log, exp, extra): the lookup tables of the list kernels below, built
-    on first use and kept on the field, each with O(q) entries.  n = q - 1
-    and g is the generator of F's log tables.
-
-      log[c]  the discrete log of c, and 2n for c = 0;
-      exp[i]  g^i for i < 2n and 0 for 2n <= i <= 4n, so that
-              exp[log[a] + log[b]] = a*b for every a and b;
-      extra   in characteristic 2, the mask of the coordinates whose basis
-              element has absolute trace 1, so that the trace of c is the
-              parity of c & mask; for odd q, the Zech logarithms
-              zech[i] = log(1 + g^i), written twice so that any
-              i in (-2n, 2n) indexes it, and 2n where 1 + g^i = 0 (Lidl
-              and Niederreiter, Finite Fields, ch. 2).
-
-    An odd prime field needs none: its kernels reduce mod p.
-    """
-    t = F._tables
-    if t is None:
-        p, n = F.p, F.order - 1
-        if F.degree == 1:  # F_2
-            logs, exps = [-1, 0], [1]
-        else:
-            logs, exps = F._log, F._exp
-        log = list(logs)
-        log[0] = 2 * n
-        exp = list(exps) * 2 + [0] * (2 * n + 1)
-        if p == 2:
-            extra = sum(1 << i for i in range(F.degree)
-                        if F.absolute_trace(1 << i))
-        else:
-            # 1 + c steps the lowest base-p digit of c
-            extra = [log[c + 1 if c % p != p - 1 else c + 1 - p]
-                     for c in exps] * 2
-        t = F._tables = (log, exp, extra)
-    return t
-
-
-def _divmod2(log, exp, a: list, b) -> tuple:
-    """(quotient, remainder) of a by b != 0 in characteristic 2, on int
-    lists through the tables of _tables; a is consumed."""
-    n = len(log) - 1
-    nb = len(b) - 1
-    quot = [0] * max(len(a) - nb, 0)
-    if quot:
-        inv_lead = n - log[b[-1]]
-        logs_b = [(j, log[c]) for j, c in enumerate(b[:-1]) if c]
-        for top in range(len(a) - 1, nb - 1, -1):
-            c = a[top]
-            if c:
-                lc = log[c] + inv_lead
-                if lc >= n:
-                    lc -= n
-                s = top - nb
-                quot[s] = exp[lc]
-                for j, lb in logs_b:
-                    a[s + j] ^= exp[lc + lb]
-        a = a[:nb]
-    while a and not a[-1]:
-        a.pop()
-    return quot, a
-
-
 def quadratic_character(F, a, u) -> int:
     """The Jacobi symbol (a / u) for monic u over F_q, q odd: 0, 1 or -1.
 
@@ -409,34 +444,18 @@ def quadratic_character(F, a, u) -> int:
     F_q[x]/(u).
 
     Each step reduces by a monic divisor and scales the remainder monic,
-    on int lists.  Over a prime field (_jacobi_mod_p, _rem_mod_p) the
-    coefficients reduce mod p, lazily, and chi is Euler's criterion
-    c^((p-1)/2).  Over an extension field (_jacobi_zech, _rem_zech) they
-    multiply through log tables and add by Zech logarithms (_tables), and
-    chi(c) = -1 exactly when the log of c is odd.
+    on int lists, with the field kind's division kernel.  Over a prime
+    field (_jacobi_mod_p, _divmod_p) the coefficients reduce mod p, lazily,
+    and chi is Euler's criterion c^((p-1)/2).  Over an extension field
+    (_jacobi_zech, _divmod_zech) they multiply through the field's log
+    tables and add by its Zech logarithms, and chi(c) = -1 exactly when
+    the log of c is odd.
     """
     if F.p == 2:
         raise ValueError("quadratic_character needs odd characteristic")
     if F.degree == 1:
         return _jacobi_mod_p(F.p, list(a), u)
     return _jacobi_zech(F, list(a), u)
-
-
-def _rem_mod_p(p, a: list, b) -> list:
-    """a mod the monic b over the prime field F_p, trimmed; a, a list of
-    least residues, is consumed."""
-    nb = len(b) - 1
-    if len(a) > nb:
-        for top in range(len(a) - 1, nb - 1, -1):
-            c = a[top] % p
-            if c:
-                s = top - nb
-                for j in range(nb):
-                    a[s + j] -= c * b[j]
-        a = [x % p for x in a[:nb]]
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _jacobi_mod_p(p, a: list, b) -> int:
@@ -446,7 +465,7 @@ def _jacobi_mod_p(p, a: list, b) -> int:
     sign = 1
     while True:
         nb = len(b) - 1
-        a = _rem_mod_p(p, a, b)
+        a = _divmod_p(p, a, b)
         if not nb:
             return sign
         if not a:
@@ -462,40 +481,15 @@ def _jacobi_mod_p(p, a: list, b) -> int:
         a, b = list(b), a
 
 
-def _rem_zech(log, exp, zech, a: list, b) -> list:
-    """a mod the monic b over an odd extension field, trimmed, through the
-    tables of _tables; a is consumed."""
-    n = len(log) - 1
-    nb = len(b) - 1
-    if len(a) > nb:
-        # logs of the nonzero -b_j; -1 = g^(n/2)
-        neg_b = [(j, (log[c] + n // 2) % n) for j, c in enumerate(b[:-1]) if c]
-        for top in range(len(a) - 1, nb - 1, -1):
-            c = a[top]
-            if c:
-                lc, s = log[c], top - nb
-                for j, lb in neg_b:
-                    y = a[s + j]
-                    if y:
-                        ly = log[y]
-                        a[s + j] = exp[ly + zech[lc + lb - ly]]
-                    else:
-                        a[s + j] = exp[lc + lb]
-        a = a[:nb]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _jacobi_zech(F, a: list, b) -> int:
     """quadratic_character over an odd extension field; a is consumed."""
-    log, exp, zech = _tables(F)
+    log, exp, zech = F._log, F._exp, F._zech
     n = F.order - 1
     flip = n // 2 & 1
     sign = 1
     while True:
         nb = len(b) - 1
-        a = _rem_zech(log, exp, zech, a, b)
+        a = _divmod_zech(log, exp, zech, a, b)
         if not nb:
             return sign
         if not a:
@@ -522,30 +516,33 @@ def fraction_trace(F, a, b, u):
     degree, a is first reduced mod u only when r is not a constant, so
     that the product stays below degree 2 deg u - 1.  The absolute trace
     of F_q takes the sum the rest of the way (Lidl and Niederreiter,
-    Finite Fields, ch. 2), as the parity of the coordinates that _tables
-    masks; z^2 + z = a / b mod u is solvable exactly when it is 0.
+    Finite Fields, ch. 2), F.absolute_trace; z^2 + z = a / b mod u is
+    solvable exactly when it is 0.
     """
     if F.p != 2:
         raise ValueError("fraction_trace is only provided in characteristic 2")
-    log, exp, mask = _tables(F)
-    r = _divmod2(log, exp, list(b), u)[1]
+    log, exp = F._log, F._exp
+    r = _divmod2(log, exp, list(b), u)
     if not r:
         return None
     if len(r) > 1:
-        a = _divmod2(log, exp, list(a), u)[1]
+        a = _divmod2(log, exp, list(a), u)
     inverse = _inverse2(log, exp, r, u)
-    t = _trace_to_fq(log, exp, _mul2(log, exp, a, inverse), u)
-    return (t & mask).bit_count() & 1
+    return F.absolute_trace(
+        _trace_to_fq(log, exp, _mul2(log, exp, a, inverse), u))
 
 
 def _inverse2(log, exp, b, m) -> list:
     """The inverse of b mod m in characteristic 2, for deg b < deg m; a
     ZeroDivisionError when gcd(b, m) is not 1.  An extended Euclid that
-    keeps only b's cofactor, on int lists through the tables of _tables."""
+    keeps only b's cofactor, on int lists through the field's tables."""
     # r0 = s0 * b and r1 = s1 * b mod m throughout
+    n = len(log) - 1
     r0, r1, s0, s1 = list(m), list(b), [], [1]
     while len(r1) > 1:
-        quot, rem = _divmod2(log, exp, r0, r1)
+        rem = _divmod2(log, exp, r0, r1)
+        inv_lead = n - log[r1[-1]]
+        quot = [exp[log[c] + inv_lead] for c in r0[len(r1) - 1:]]
         s2 = _mul2(log, exp, quot, s1)
         for i, c in enumerate(s0):
             s2[i] ^= c
@@ -554,22 +551,8 @@ def _inverse2(log, exp, b, m) -> list:
         r0, r1, s0, s1 = r1, rem, s1, s2
     if not r1:
         raise ZeroDivisionError("b is not invertible mod m")
-    inv_c = len(log) - 1 - log[r1[0]]
+    inv_c = n - log[r1[0]]
     return [exp[log[c] + inv_c] for c in s1]
-
-
-def _mul2(log, exp, a, b) -> list:
-    """The product of two polynomials in characteristic 2."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    logs_b = [log[c] for c in b]
-    for i, c in enumerate(a):
-        if c:
-            lc = log[c]
-            for j, lb in enumerate(logs_b):
-                out[i + j] ^= exp[lc + lb]
-    return out
 
 
 def _trace_to_fq(log, exp, a, u) -> int:
@@ -681,33 +664,19 @@ def artin_schreier_solve(ring: QuotientRing, w):
     if F.p != 2:
         raise ValueError("artin_schreier_solve is only provided in characteristic 2")
     k, d = F.degree, ring.d
-    n = k * d
-    basis = []
-    for i in range(d):
-        for j in range(k):
-            e = tuple(([0] * i) + [1 << j])
-            basis.append(trim(e))
 
-    def to_bits(a):
-        bits = 0
-        for i in range(d):
-            c = a[i] if i < len(a) else 0
-            bits |= c << (i * k)
-        return bits
+    def to_bits(a):  # bit i k + j is coordinate j of the x^i coefficient
+        return sum(c << (i * k) for i, c in enumerate(a))
 
-    rows = []
-    for idx, e in enumerate(basis):
-        img = ring.add(ring.mul(e, e), e)
-        rows.append((to_bits(img), 1 << idx))
+    basis = [(0,) * i + (1 << j,) for i in range(d) for j in range(k)]
+    rows = [(to_bits(ring.add(ring.mul(e, e), e)), 1 << idx)
+            for idx, e in enumerate(basis)]
     target = to_bits(ring.reduce(w))
     # eliminate
     sol_mask = 0
-    for bit in range(n):
-        pivot = None
-        for r, (img, pre) in enumerate(rows):
-            if img >> bit & 1:
-                pivot = r
-                break
+    for bit in range(k * d):
+        pivot = next((r for r, (img, _) in enumerate(rows) if img >> bit & 1),
+                     None)
         if pivot is None:
             continue
         pimg, ppre = rows.pop(pivot)
@@ -718,9 +687,4 @@ def artin_schreier_solve(ring: QuotientRing, w):
                 for img, pre in rows]
     if target:
         return None
-    coeffs = [0] * d
-    for idx in range(n):
-        if sol_mask >> idx & 1:
-            i, j = divmod(idx, k)
-            coeffs[i] ^= 1 << j
-    return trim(coeffs)
+    return trim((sol_mask >> (i * k)) & ((1 << k) - 1) for i in range(d))

@@ -95,6 +95,7 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
     stage("model", t0)
 
     order = series_order if series_order is not None else 2 * g + 2
+    zetaone.check_series_order(order, capacity)
 
     t0 = time.perf_counter()
     depth = max(order, 2 * g - 2, 1)

@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .errors import InconsistentCountsError
+from .errors import CapacityError, InconsistentCountsError
 
 
 class LPolynomial(namedtuple("LPolynomial", "coeffs q genus")):
@@ -121,6 +121,29 @@ def zeta_series(lpoly: LPolynomial, order: int) -> list[int]:
                 f"series coefficient s_{n} = {v} is not a nonnegative integer")
         out.append(v)
     return out
+
+
+def euler_product_updates(order: int) -> int:
+    """The coefficient updates of effective_divisor_count to the given
+    order, bounded from the order alone: the (d, base, j) terms of its
+    loop, sum over 1 <= d <= order and 0 <= base <= order of
+    (order - base) // d + 1.  The loop skips those of zero coefficients."""
+    m = order + 1
+    return sum(m + d * (m // d) * (m // d - 1) // 2 + (m // d) * (m % d)
+               for d in range(1, m))
+
+
+def check_series_order(order: int, capacity: int) -> None:
+    """Refuse an order whose Euler expansion needs more updates than the
+    work bound.  The count depends on the order alone; its j = 0 terms,
+    order * (order + 1) of them, refuse a large order before the sum."""
+    least = order * (order + 1)
+    work = euler_product_updates(order) if least <= capacity else None
+    if work is None or work > capacity:
+        count = f"at least {least}" if work is None else work
+        raise CapacityError(
+            f"series order {order} needs {count} Euler-product coefficient "
+            f"updates, above the work bound {capacity}")
 
 
 def effective_divisor_count(place_table, upto: int) -> list[int]:

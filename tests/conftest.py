@@ -63,12 +63,12 @@ def absolute_trace(F, a, u) -> int:
     exactly when it is 0.  The trace to F_q sums a mod u over the roots of
     u (fqpoly._trace_to_fq); the absolute trace of F_q takes it the rest of
     the way (Lidl and Niederreiter, Finite Fields, ch. 2), as the parity of
-    the coordinates that fqpoly._tables masks."""
+    the coordinates that the field's trace mask keeps."""
     if F.p != 2:
         raise ValueError("absolute_trace is only provided in characteristic 2")
-    log, exp, mask = fp._tables(F)
-    a = fp._divmod2(log, exp, list(a), u)[1]
-    return (fp._trace_to_fq(log, exp, a, u) & mask).bit_count() & 1
+    log, exp = F._log, F._exp
+    a = fp._divmod2(log, exp, list(a), u)
+    return (fp._trace_to_fq(log, exp, a, u) & F._mask).bit_count() & 1
 
 
 def sieved_place_counts(model, depth):

@@ -145,6 +145,37 @@ def test_capacity_exit_3(capsys):
     assert "work bound" in capsys.readouterr().err
 
 
+def test_series_order_past_the_work_bound_exits_3_before_any_place(
+        monkeypatch, capsys):
+    import curvezeta.curve as curvemod
+    import curvezeta.zetaone as zetaone
+    spent = []
+
+    def spy(name):
+        def refuse(*args, **kwargs):
+            spent.append(name)
+            raise AssertionError(f"{name} ran past the work bound")
+        return refuse
+
+    for module, name in ((curvemod, "enumerate_places"),
+                         (zetaone, "effective_divisor_count"),
+                         (zetaone, "zeta_series")):
+        monkeypatch.setattr(module, name, spy(name))
+    # 1600 * 1601 updates of the j = 0 terms alone refuse order 1600 ...
+    assert main(["verify", "--spec", "p=3; f=x^3+x", "--series-order", "1600",
+                 "--max-work", "1000"]) == 3
+    assert ("series order 1600 needs at least 2561600 Euler-product "
+            "coefficient updates, above the work bound 1000"
+            in capsys.readouterr().err)
+    # ... and order 800 is refused at the default bound on the full count
+    assert main(["verify", "--spec", "p=3; f=x^3+x",
+                 "--series-order", "800"]) == 3
+    assert ("series order 800 needs 2674966 Euler-product coefficient "
+            "updates, above the work bound 1000000"
+            in capsys.readouterr().err)
+    assert spent == []
+
+
 def test_oversize_inputs_exit_3_under_the_work_bound(tmp_path, capsys):
     # the spec's exponent and the table's genus are refused as they are
     # read, before the coefficient list or the value table is built

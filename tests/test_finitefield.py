@@ -72,6 +72,63 @@ def test_extension_field_axioms_exhaustive(p, k):
         assert F.pow(a, F.order - 1) == (1 if a else 0)
 
 
+def vector_product(x, y, modulus, p):
+    """The product of two coefficient vectors as polynomials over F_p,
+    reduced mod the monic modulus, by schoolbook multiplication."""
+    k = len(modulus) - 1
+    prod = [0] * (2 * k - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    for top in range(len(prod) - 1, k - 1, -1):
+        c = prod[top] % p
+        for j in range(k + 1):
+            prod[top - k + j] -= c * modulus[j]
+    return tuple(c % p for c in prod[:k])
+
+
+def power_by_squaring(F, a, e):
+    result = 1
+    while e:
+        if e & 1:
+            result = F.mul(result, a)
+        a = F.mul(a, a)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2),
+                                 (3, 3)])
+def test_encoding_contract_exhaustive(p, k):
+    # the int encoding is the base-p coefficient vector in the power basis
+    # of F.modulus: add, sub and neg act digit by digit mod p, and mul is
+    # the product of the vectors mod F.modulus over F_p
+    F = extension_field(p, k)
+    vec = F.coeff_vector
+    for a in range(F.order):
+        x = vec(a)
+        assert vec(F.neg(a)) == tuple(-c % p for c in x)
+        for b in range(F.order):
+            y = vec(b)
+            assert vec(F.add(a, b)) == tuple((c + d) % p for c, d in zip(x, y))
+            assert vec(F.sub(a, b)) == tuple((c - d) % p for c, d in zip(x, y))
+            assert vec(F.mul(a, b)) == vector_product(x, y, F.modulus, p)
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
+            assert F.pow(a, -3) == F.inv(power_by_squaring(F, a, 3))
+        for e in (0, 1, 2, 5, F.order - 1, F.order, 10 ** 20 + 3):
+            assert F.pow(a, e) == power_by_squaring(F, a, e)
+        if p == 2:
+            # Tr(a) = a + a^2 + ... + a^(2^(k-1)), by repeated squaring
+            total, t = a, a
+            for _ in range(k - 1):
+                t = F.mul(t, t)
+                total = F.add(total, t)
+            assert F.absolute_trace(a) == total
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
 def test_sqrt_odd_characteristic(p, k):
     F = extension_field(p, k)

@@ -14,9 +14,10 @@ def polys(q, max_deg=5):
     return st.lists(st.integers(0, q - 1), min_size=0, max_size=max_deg + 1)
 
 
-# prime fields, and F_4, F_8 and F_9, whose add, neg and sub take the
-# characteristic-2 and the odd extension field branches
-RING_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3), (3, 2)]
+# every kernel (prime fields, characteristic 2 with F_2, odd extension
+# fields), each with a larger field: F_16, F_27 and F_25
+RING_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3), (3, 2),
+               (2, 4), (3, 3), (5, 2)]
 
 
 @settings(max_examples=300)
@@ -239,7 +240,7 @@ def next_irreducible(F, degree, start):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]),
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]),
        st.integers(1, 5), st.data())
 def test_quadratic_character_matches_euler_criterion(pk, d, data):
     F = extension_field(*pk)
