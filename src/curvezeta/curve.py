@@ -197,9 +197,9 @@ class PlaceTable(namedtuple("PlaceTable", "model max_degree place_counts "
     N_d past degree max(2g, 1) are read from it (see enumerate_places).
 
     The places of a degree are listed the first time that degree is asked
-    for, and kept: listing needs a square root (Tonelli) or an
-    Artin-Schreier solution per split fiber, while the strata read places
-    only up to degree g-1 and the Euler product reads only the counts.
+    for, and kept: listing takes a square root or an Artin-Schreier
+    solution per affine fiber (_affine_places), while the strata read
+    places only up to degree g-1 and the Euler product reads only counts.
     Listing reads the fiber classes recorded in fibers and decides none
     again.  A degree past max(2g, 1), which enumerate_places did not
     sieve, is sieved and classed when it is listed, under the work bound
@@ -309,19 +309,16 @@ def _affine_places(model: HyperellipticModel, disc, u, split: int) -> list:
     hbar = fp.mod(F, model.h, u)
     if F.p != 2:
         base_v = fp.scale(F, F.neg(F.inv(2 % F.p)), hbar)
-        if not split:
-            vs = (base_v,)
-        else:
-            root = ring.sqrt(fp.mod(F, disc, u))
-            if root is None:
-                raise ConsistencyError(
-                    f"f + h^2/4 has quadratic character 1 mod {u} but no "
-                    "square root")
-            vs = (ring.add(base_v, root), ring.sub(base_v, root))
+        root = ring.sqrt(fp.mod(F, disc, u))
+        if root is None:
+            raise ConsistencyError(
+                f"f + h^2/4 has quadratic character {split} mod {u} but no "
+                "square root")
+        vs = {ring.add(base_v, root), ring.sub(base_v, root)}
     else:
         fbar = fp.mod(F, model.f, u)
         if not split:
-            vs = (ring.pow(fbar, ring.order // 2),)
+            vs = (ring.sqrt(fbar),)
         else:
             w = ring.mul(fbar, ring.pow(ring.inv(hbar), 2))
             sol = fp.artin_schreier_solve(ring, w)

@@ -602,9 +602,9 @@ class QuotientRing:
 
     def inv(self, a):
         g, s, _ = xgcd(self.field, a, self.modulus)
-        if deg(g) != 0:
+        if g != (1,):
             raise ZeroDivisionError("element is not invertible in the quotient ring")
-        return self.reduce(scale(self.field, self.field.inv(g[0]), s))
+        return self.reduce(s)
 
     def pow(self, a, e):
         if e < 0:
@@ -616,36 +616,38 @@ class QuotientRing:
         return (decode(self.field, v, self.d) for v in range(self.order))
 
     def sqrt(self, a):
-        """A square root in the quotient field, or None (odd order only),
-        by Tonelli-Shanks."""
+        """A square root of a, or None.  Even order: a^(order/2), the root
+        in a field.  Odd order: Tonelli-Shanks, which keeps r^2 = a u and
+        gives None once u^(2^(m-1)) != 1 (a non-square or a non-unit)."""
         if not a:
             return ()
         q = self.order
-        half = (q - 1) // 2
-        if self.pow(a, half) != (1,):
-            return None
-        if q % 4 == 3:
-            return self.pow(a, (q + 1) // 4)
+        if q % 2 == 0:
+            return self.pow(a, q // 2)
         s, t = 0, q - 1
         while t % 2 == 0:
             t //= 2
             s += 1
-        # A non-residue z, in key order but with the constants last: in a
-        # ring of even degree every constant is a square, and a ring of
-        # degree one has nothing else.
-        k = self.field.order
-        z = next(z for z in (decode(self.field, v, self.d)
-                             for v in chain(range(k, q), range(1, k)))
-                 if self.pow(z, half) != (1,))
-        c = self.pow(z, t)
-        r = self.pow(a, (t + 1) // 2)
-        u = self.pow(a, t)
-        m = s
+        w = self.pow(a, (t - 1) // 2)
+        r = self.mul(w, a)
+        u = self.mul(w, r)
+        m, c = s, None
         while u != (1,):
             i, v = 0, u
-            while v != (1,):
+            while v != (1,) and i < m:
                 v = self.mul(v, v)
                 i += 1
+            if i == m:
+                return None
+            if c is None:
+                # A non-residue z, in key order but with the constants
+                # last: in a ring of even degree every constant is a
+                # square, and a ring of degree one has nothing else.
+                k, half = self.field.order, (q - 1) // 2
+                z = next(z for z in (decode(self.field, v, self.d)
+                                     for v in chain(range(k, q), range(1, k)))
+                         if self.pow(z, half) != (1,))
+                c = self.pow(z, t)
             b = self.pow(c, 1 << (m - i - 1))
             r = self.mul(r, b)
             c = self.mul(b, b)

@@ -42,11 +42,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import fqpoly as fp
-from .errors import OracleUnsupportedError
-from .finitefield import extension_field, is_prime
+from .errors import CapacityError, OracleUnsupportedError
+from .finitefield import DEFAULT_CAPACITY, extension_field, is_prime
 from .ratpoly import BiPoly, RationalPoly, format_poly, poly_gcd, quotient
 from .zetatwo import ClauseResult
 
@@ -93,12 +93,16 @@ def is_squarefree(P: BiPoly) -> bool:
     return False
 
 
-def absolute_factor_count(P: BiPoly) -> int:
+def absolute_factor_count(P: BiPoly, *,
+                          capacity: int = DEFAULT_CAPACITY) -> int:
     """Number of distinct irreducible factors over the algebraic closure.
 
     Input must be squarefree (else NotSquarefreeError) and involve both
     variables.  The count is the nullity of the exact linear system behind
     the logarithmic-derivative equation; no factor is ever constructed.
+    A system whose columns times the lattice points of 2 NP(P), the most
+    rows it can have, exceed capacity is refused (CapacityError) before
+    any column is built.
     """
     if not is_squarefree(P):
         raise NotSquarefreeError("factor counting needs a squarefree polynomial")
@@ -120,6 +124,18 @@ def absolute_factor_count(P: BiPoly) -> int:
     low_x, low_y = map(min, zip(*hull))
     points = [(x, y) for x in range(low_x, m + 1) for y in range(low_y, n + 1)
               if all(_cross(a, b, (x, y)) >= 0 for a, b in edges)]
+    # Every row monomial lies in 2 NP(P) - (1, 1).  By Pick's theorem 2 NP(P)
+    # has 4 A + B + 1 lattice points, A the area and B the boundary points
+    # of NP(P); a point or a segment is counted right too.
+    twice_area = sum(a[0] * b[1] - a[1] * b[0] for a, b in edges)
+    boundary = sum(gcd(b[0] - a[0], b[1] - a[1]) for a, b in edges)
+    most_rows = 2 * twice_area + boundary + 1
+    width = sum(1 for x, y in points if x) + sum(1 for x, y in points if y)
+    if width * most_rows > capacity:
+        raise CapacityError(
+            f"the factor-count system needs {width * most_rows} entries "
+            f"({width} columns times at most {most_rows} rows), above the "
+            f"work bound {capacity}")
     columns = [{(a + x - 1, b + y - 1): (y - b) * c
                 for a, b, c in scaled if y != b} for x, y in points if x]
     columns += [{(a + x - 1, b + y - 1): (a - x) * c
@@ -127,7 +143,6 @@ def absolute_factor_count(P: BiPoly) -> int:
 
     row_index: dict = {}
     rows: list = []
-    width = len(columns)
     for k, column in enumerate(columns):
         for key, val in column.items():
             if key not in row_index:
@@ -361,10 +376,12 @@ class IrreducibilityReport(namedtuple(
     __slots__ = ()
 
 
-def analyze_irreducibility(P: BiPoly, genus: int,
-                           pic0: Fraction) -> IrreducibilityReport:
+def analyze_irreducibility(P: BiPoly, genus: int, pic0: Fraction, *,
+                           capacity: int = DEFAULT_CAPACITY
+                           ) -> IrreducibilityReport:
     """The dichotomy for the numerator: a nonzero class mass forces absolute
-    irreducibility, a zero class mass forces the factor 1 - T."""
+    irreducibility, a zero class mass forces the factor 1 - T.  capacity
+    bounds the factor-count system (absolute_factor_count)."""
     if genus == 0:
         clause = ClauseResult("absolute irreducibility", True,
                               "not applicable: the genus-zero numerator is 1")
@@ -384,7 +401,7 @@ def analyze_irreducibility(P: BiPoly, genus: int,
         f"got {format_poly(at_one.coeffs, 'u')}, expected {pic0}"))
 
     try:
-        count = absolute_factor_count(P)
+        count = absolute_factor_count(P, capacity=capacity)
     except NotSquarefreeError:
         count = None
     squarefree = count is not None

@@ -14,6 +14,7 @@ driver can point at the offending character.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -21,6 +22,9 @@ from .errors import CapacityError, ParseError
 from .finitefield import DEFAULT_CAPACITY
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+\-*^]))")
+# the decimal form of fractions.Fraction's grammar
+_DECIMAL = re.compile(r"([-+]?)(?=\.?\d)(\d+(?:_\d+)*)?(?:\.(\d+(?:_\d+)*)?)?"
+                      r"(?:[eE]([-+]?\d+(?:_\d+)*))?")
 
 
 def _literal(digits: str, line: int, col: int) -> int:
@@ -179,11 +183,41 @@ def parse_curve_spec(text: str, *, line: int = 1,
 
 
 def _parse_fraction(text: str, line: int, col: int) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{text!r} is not a rational a/b or a decimal",
-                         line, col) from None
+    """A rational a/b or a decimal, read exactly.  A decimal is judged from
+    its text before its value is built: one whose significant digits, or
+    whose exact numerator or denominator, are longer than the interpreter
+    converts (sys.get_int_max_str_digits) is a ParseError."""
+    m = _DECIMAL.fullmatch(text)
+    if m is None:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"{text!r} is not a rational a/b or a decimal",
+                             line, col) from None
+    sign, whole, frac, exp = (g.replace("_", "") if g else ""
+                              for g in m.groups())
+    digits = (whole + frac).lstrip("0")
+    significant = digits.rstrip("0")
+    if not significant:
+        return Fraction(0)
+    shift = len(digits) - len(significant) - len(frac)
+    if exp:
+        shift += _literal(exp, line, col)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    # significant has no factor 10, so for shift < 0 the denominator is at
+    # least 2^-shift, which has more than limit digits once -shift > 4 limit
+    value = None
+    if not limit or (len(significant) <= limit
+                     and -4 * limit <= shift <= limit):
+        n = int(sign + significant)
+        value = (Fraction(n * 10 ** shift) if shift >= 0
+                 else Fraction(n, 10 ** -shift))
+    if value is None or limit and max(abs(value.numerator),
+                                      value.denominator) >= 10 ** limit:
+        raise ParseError(f"decimal of {len(text)} characters is too long: "
+                         f"its exact value needs more than {limit} digits",
+                         line, col)
+    return value
 
 
 class MeasureTableData(namedtuple("MeasureTableData", "genus pic0 entries")):

@@ -145,7 +145,8 @@ def run_curve_pipeline(spec: CurveSpecData, *, base_change: int = 1,
         for n, (e, s) in enumerate(zip(euler, series))]
 
     t0 = time.perf_counter()
-    irred = irrmod.analyze_irreducibility(numerator, g, measure.pic0)
+    irred = irrmod.analyze_irreducibility(numerator, g, measure.pic0,
+                                          capacity=capacity)
     stage("irreducibility", t0)
 
     head = {
@@ -182,7 +183,8 @@ def run_table_pipeline(table: MeasureTableData, *,
     g = measure.genus
     numerator = zetatwo.zeta_numerator(measure)
     structure = zetatwo.numerator_clauses(numerator, g, measure.pic0)
-    irred = irrmod.analyze_irreducibility(numerator, g, measure.pic0)
+    irred = irrmod.analyze_irreducibility(numerator, g, measure.pic0,
+                                          capacity=capacity)
     head = {
         "input": {
             "kind": "measure-table",

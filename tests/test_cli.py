@@ -139,6 +139,15 @@ def test_an_over_long_literal_exits_2(capsys):
     assert "literal of 5000 digits" in capsys.readouterr().err
 
 
+def test_an_over_long_decimal_exits_2(tmp_path, capsys):
+    # 1e5000 is read exactly, but its 5001 digits are past the 4300 that
+    # the interpreter prints
+    table = tmp_path / "long.txt"
+    table.write_text("g=1; pic0=1e5000\n0 0 1\n")
+    assert main(["verify", "--measure-table", str(table)]) == 2
+    assert "decimal of 6 characters is too long" in capsys.readouterr().err
+
+
 def test_capacity_exit_3(capsys):
     assert main(["verify", "--spec", "p=3; k=12; f=x^3+x",
                  "--max-work", "1000"]) == 3
@@ -191,6 +200,37 @@ def test_oversize_inputs_exit_3_under_the_work_bound(tmp_path, capsys):
     assert main(["verify", "--measure-table", str(table),
                  "--max-work", "1000"]) == 3
     assert "genus 30 needs a table of 1829 entries" in capsys.readouterr().err
+
+
+def generic_table(g: int, pic0: int = 2) -> str:
+    """A valid genus-g measure table: row 0 and its dual row 2g-2 split
+    pic0 as the zero-section constraint asks, and every other row puts
+    pic0 on the least nu the degree allows."""
+    rows = [(0, 0, pic0 - 1), (0, 1, 1)]
+    rows += [(n, max(0, n - g + 1), pic0) for n in range(1, 2 * g - 2)]
+    rows += [(2 * g - 2, g - 1, pic0 - 1), (2 * g - 2, g, 1)]
+    return f"g={g}; pic0={pic0}\n" + "".join(f"{n} {nu} {v}\n"
+                                             for n, nu, v in rows)
+
+
+def test_the_factor_count_system_is_bounded_by_the_work_bound(
+        tmp_path, monkeypatch, capsys):
+    import curvezeta.irreducibility as irrmod
+    ranks = []
+    rank = irrmod._rank
+    monkeypatch.setattr(irrmod, "_rank", lambda rows, bound:
+                        ranks.append(len(rows)) or rank(rows, bound))
+    table = tmp_path / "table.txt"
+    # genus 20: 480 columns times 940 points of 2 NP(P), under the default
+    table.write_text(generic_table(20))
+    assert main(["verify", "--measure-table", str(table)]) == 0
+    assert len(ranks) == 1
+    # genus 30: 1020 columns times 2010 points, refused before any rank
+    table.write_text(generic_table(30))
+    assert main(["verify", "--measure-table", str(table)]) == 3
+    assert ("the factor-count system needs 2050200 entries"
+            in capsys.readouterr().err)
+    assert len(ranks) == 1
 
 
 @pytest.mark.parametrize("spec", ["p=11; f=x^5+x+1", "p=13; f=x^5+x+2"])

@@ -180,16 +180,22 @@ def test_quotient_ring_field_axioms():
             assert ring.mul(a, b) == ring.mul(b, a)
 
 
-def test_quotient_ring_sqrt_odd_order():
-    f9 = extension_field(3, 2)
-    rings = [
-        fp.QuotientRing(extension_field(3), (2, 2, 1)),  # x^2+2x+2
+def test_quotient_ring_sqrt(monkeypatch):
+    f3, f9 = extension_field(3), extension_field(3, 2)
+    cubic = fp.monic_irreducibles(f3, 3)[0]
+    fields = [
+        fp.QuotientRing(f3, (2, 2, 1)),  # x^2+2x+2
         # degree 1: every element is a constant
         fp.QuotientRing(extension_field(5), (2, 1)),
         # degree 2 over F_9: every constant is a square
         fp.QuotientRing(f9, fp.monic_irreducibles(f9, 2)[0]),
+        # order 27 = 3 mod 4, where Tonelli-Shanks needs no non-residue
+        fp.QuotientRing(f3, cubic),
+        # characteristic 2: every element is a square
+        fp.QuotientRing(extension_field(2), (1, 1, 0, 1)),
+        fp.QuotientRing(extension_field(2, 2), fp.X),
     ]
-    for ring in rings:
+    for ring in fields:
         squares = {ring.mul(a, a) for a in ring.elements()}
         for a in ring.elements():
             root = ring.sqrt(a)
@@ -197,6 +203,25 @@ def test_quotient_ring_sqrt_odd_order():
                 assert root is not None and ring.mul(root, root) == a
             else:
                 assert root is None
+    # a ring that is not a field: a true root or None, and always an answer
+    ring = fp.QuotientRing(f3, (0, 0, 1))  # x^2
+    for a in ring.elements():
+        root = ring.sqrt(a)
+        assert root is None or ring.mul(root, root) == a
+    # one power per call in the order-27 field, for a square and a
+    # non-square alike
+    ring = fp.QuotientRing(f3, cubic)
+    calls = []
+    pow_ = fp.QuotientRing.pow
+    monkeypatch.setattr(fp.QuotientRing, "pow",
+                        lambda self, a, e: calls.append(e) or pow_(self, a, e))
+    square = ring.mul((1, 1), (1, 1))
+    nonsquare = next(a for a in ring.elements()
+                     if a and ring.pow(a, 13) != (1,))
+    for a, is_square in ((square, True), (nonsquare, False)):
+        calls.clear()
+        assert (ring.sqrt(a) is not None) == is_square
+        assert len(calls) == 1
 
 
 def test_quotient_ring_pow_matches_naive():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from curvezeta import (BiPoly, RationalPoly, absolute_factor_count,
                        analyze_irreducibility, is_squarefree,
                        reference_factor_count, reversal)
-from curvezeta.errors import OracleUnsupportedError
+from curvezeta.errors import CapacityError, OracleUnsupportedError
 from curvezeta import irreducibility
 from curvezeta.irreducibility import (_PRIME, NotSquarefreeError, _rank,
                                       _rank_mod_prime, _square_in_closure,
@@ -109,6 +109,25 @@ def test_factor_count_input_guards():
         absolute_factor_count(1 + U)  # T is absent
     with pytest.raises(NotSquarefreeError):
         absolute_factor_count((T + U) ** 2)
+
+
+def test_factor_count_system_over_the_work_bound_is_refused_before_the_rank(
+        monkeypatch):
+    ranked = []
+    rank = irreducibility._rank
+    monkeypatch.setattr(irreducibility, "_rank",
+                        lambda rows, bound: ranked.append(rows) or
+                        rank(rows, bound))
+    # 12 columns, and 2 NP(P) has 22 lattice points: the system G2 builds
+    # has 14 rows, so 12 * 22 = 264 entries bound it
+    assert absolute_factor_count(G2_NUMERATOR, capacity=264) == 1
+    assert len(ranked) == 1 and len(ranked[0]) <= 22
+    assert len(ranked[0][0]) == 12
+    with pytest.raises(CapacityError, match=r"needs 264 entries \(12 "
+                       r"columns times at most 22 rows\), above the work "
+                       r"bound 263"):
+        analyze_irreducibility(G2_NUMERATOR, 2, Fraction(0), capacity=263)
+    assert len(ranked) == 1
 
 
 def test_reference_oracle_refuses_what_it_cannot_classify():

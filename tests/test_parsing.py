@@ -120,6 +120,10 @@ def test_measure_table_rational_values():
     ("-0.25", Fraction(-1, 4)),
     ("1e3", Fraction(1000)),
     ("1_000", Fraction(1000)),
+    # exact values of few digits, from texts int() or 10**e could not take
+    ("1." + "0" * 5000, Fraction(1)),
+    ("5e-4300", Fraction(1, 2 * 10 ** 4299)),  # 4300 digits: the limit
+    ("0e999999999", Fraction(0)),
 ])
 def test_measure_table_values_are_fractions_or_decimals(value, exact):
     # a decimal is read exactly, never through a float
@@ -142,6 +146,14 @@ def test_measure_table_values_are_fractions_or_decimals(value, exact):
     pytest.param(f"# header next\ng={LONG}; pic0=1",
                  "line 2, column 1: integer literal of 5000 digits",
                  id="long-genus"),
+    # 10^5000 has 5001 digits and 10^-4300 a denominator of 4301
+    ("g=1; pic0=1e5000\n0 0 1",
+     "line 1, column 1: decimal of 6 characters is too long"),
+    ("g=1; pic0=2\n0 0 1e5000", "line 2, column 1: decimal"),
+    ("g=1; pic0=1e-4300", "needs more than 4300 digits"),
+    ("g=1; pic0=1e20000000", "decimal of 10 characters is too long"),
+    (f"g=1; pic0=0.{LONG}", "decimal of 5002 characters is too long"),
+    (f"g=1; pic0=1e{LONG}", "integer literal of 5000 digits"),
 ])
 def test_measure_table_rejections(text, fragment):
     with pytest.raises(ParseError) as info:
