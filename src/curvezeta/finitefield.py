@@ -102,8 +102,8 @@ class FiniteField:
 
     def _powers(self, prime: FiniteField) -> list:
         """[g^0, ..., g^(q-2)] for the generator g of the unit group with
-        the smallest encoding, multiplying coefficient vectors of the
-        element encodings as polynomials over the prime field."""
+        the smallest encoding.  The accumulator is a vector of k digits
+        over F_p, stepped by g as a linear map."""
         from . import fqpoly as fp
         p, k, q = self.p, self.degree, self.order
         mod = self.modulus
@@ -117,11 +117,24 @@ class FiniteField:
                            for f in factors)), None)
         if gen is None:
             raise ConsistencyError(f"no generator of the unit group of {self!r}")
+        # g * acc = sum of acc_i (g x^i mod modulus), so with those k
+        # columns packed into ints, slots of w bits, a step is k products of
+        # a digit with a column and one reduction of the k slots mod p
+        w = (k * (p - 1) ** 2).bit_length()  # a slot holds k products
+        column, columns = list(_digits(gen, p, k)), []
+        for _ in range(k):
+            columns.append(sum(c << w * j for j, c in enumerate(column)))
+            top = column.pop()  # column * x, reduced by the monic modulus
+            column = [(c - top * m) % p for c, m in zip([0] + column, mod)]
+        mask, shifts = (1 << w) - 1, range(0, w * k, w)
+        acc = [1] + [0] * (k - 1)
         powers = []
-        acc, gen_poly = (1,), poly(gen)
         for _ in range(q - 1):
             powers.append(_undigits(acc, p))
-            acc = fp.mod(prime, fp.mul(prime, acc, gen_poly), mod)
+            packed = 0
+            for a, col in zip(acc, columns):
+                packed += a * col
+            acc = [(packed >> shift & mask) % p for shift in shifts]
         self.generator = gen
         return powers
 

@@ -617,13 +617,16 @@ class QuotientRing:
 
     def sqrt(self, a):
         """A square root of a, or None.  Even order: a^(order/2), the root
-        in a field.  Odd order: Tonelli-Shanks, which keeps r^2 = a u and
-        gives None once u^(2^(m-1)) != 1 (a non-square or a non-unit)."""
+        in a field, returned only when it squares back to a, which a ring
+        with nilpotents can fail.  Odd order: Tonelli-Shanks, which keeps
+        r^2 = a u and gives None once u^(2^(m-1)) != 1 (a non-square or a
+        non-unit)."""
         if not a:
             return ()
         q = self.order
         if q % 2 == 0:
-            return self.pow(a, q // 2)
+            r = self.pow(a, q // 2)
+            return r if self.mul(r, r) == self.reduce(a) else None
         s, t = 0, q - 1
         while t % 2 == 0:
             t //= 2

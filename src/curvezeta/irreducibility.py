@@ -47,7 +47,7 @@ from math import gcd, lcm
 from . import fqpoly as fp
 from .errors import CapacityError, OracleUnsupportedError
 from .finitefield import DEFAULT_CAPACITY, extension_field, is_prime
-from .ratpoly import BiPoly, RationalPoly, format_poly, poly_gcd, quotient
+from .ratpoly import BiPoly, RationalPoly, format_poly, poly_gcd
 from .zetatwo import ClauseResult
 
 
@@ -259,18 +259,25 @@ def _square_in_closure(disc: RationalPoly) -> bool:
     """Is a nonzero univariate rational polynomial a square over the
     algebraic closure, i.e. are all its root multiplicities even?  Then its
     monic part is s^2 for the monic s = prod (x - root)^(multiplicity / 2),
-    which is Galois-invariant, hence rational: match its coefficients from
-    the top down and confirm the square exactly."""
+    which is Galois-invariant, hence rational.  With N the polynomial with
+    its denominators cleared and c its leading coefficient, that says c N =
+    (c s)^2, and by Gauss's lemma a rational polynomial whose square has
+    integer coefficients has them too.  So match the integer root of c N
+    from the top down and confirm the square exactly."""
     if disc.degree % 2:
         return False
-    target = disc.monic()
+    den = lcm(*(c.denominator for c in disc.coeffs))
+    cleared = [c.numerator * (den // c.denominator) for c in disc.coeffs]
+    target = [cleared[-1] * c for c in cleared]
     n = disc.degree // 2
-    s = [0] * n + [1]
+    root = [0] * n + [abs(cleared[-1])]
     for k in range(n - 1, -1, -1):
-        # the x^(n+k) coefficient of s^2 is 2 s_k plus known products
-        known = sum(s[i] * s[n + k - i] for i in range(k + 1, n))
-        s[k] = quotient(target.coeff(n + k) - known, 2)
-    return RationalPoly(s) ** 2 == target
+        # the x^(n+k) coefficient of root^2 is 2 |c| root_k plus known products
+        known = sum(root[i] * root[n + k - i] for i in range(k + 1, n))
+        root[k], rem = divmod(target[n + k] - known, 2 * root[n])
+        if rem:
+            return False
+    return (RationalPoly(root) ** 2).coeffs == tuple(target)
 
 
 def _factor_count_closed_form(fac: BiPoly) -> int:

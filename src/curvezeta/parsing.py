@@ -25,6 +25,8 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+\-*^]))")
 # the decimal form of fractions.Fraction's grammar
 _DECIMAL = re.compile(r"([-+]?)(?=\.?\d)(\d+(?:_\d+)*)?(?:\.(\d+(?:_\d+)*)?)?"
                       r"(?:[eE]([-+]?\d+(?:_\d+)*))?")
+# and its a/b form
+_RATIO = re.compile(r"([-+]?)(\d+(?:_\d+)*)\s*/\s*(\d+(?:_\d+)*)")
 
 
 def _literal(digits: str, line: int, col: int) -> int:
@@ -183,17 +185,28 @@ def parse_curve_spec(text: str, *, line: int = 1,
 
 
 def _parse_fraction(text: str, line: int, col: int) -> Fraction:
-    """A rational a/b or a decimal, read exactly.  A decimal is judged from
-    its text before its value is built: one whose significant digits, or
-    whose exact numerator or denominator, are longer than the interpreter
-    converts (sys.get_int_max_str_digits) is a ParseError."""
+    """A rational a/b or a decimal, read exactly.  Either is judged from
+    its text before its value is built: an a/b whose a or b, or a decimal
+    whose significant digits or exact numerator or denominator, are longer
+    than the interpreter converts (sys.get_int_max_str_digits) is a
+    ParseError."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    m = _RATIO.fullmatch(text)
+    if m is not None:
+        sign, num, den = m.groups()
+        num, den = (g.replace("_", "").lstrip("0") for g in (num, den))
+        for part, digits in (("numerator", num), ("denominator", den)):
+            if limit and len(digits) > limit:
+                raise ParseError(f"{part} of {len(digits)} digits is too "
+                                 f"long: more than {limit} digits", line, col)
+        if not den:
+            raise ParseError(f"{text!r} is not a rational a/b or a decimal: "
+                             "its denominator is zero", line, col)
+        return Fraction(int(sign + (num or "0")), int(den))
     m = _DECIMAL.fullmatch(text)
     if m is None:
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{text!r} is not a rational a/b or a decimal",
-                             line, col) from None
+        raise ParseError(f"{text!r} is not a rational a/b or a decimal",
+                         line, col)
     sign, whole, frac, exp = (g.replace("_", "") if g else ""
                               for g in m.groups())
     digits = (whole + frac).lstrip("0")
@@ -203,7 +216,6 @@ def _parse_fraction(text: str, line: int, col: int) -> Fraction:
     shift = len(digits) - len(significant) - len(frac)
     if exp:
         shift += _literal(exp, line, col)
-    limit = sys.get_int_max_str_digits()  # 0: no limit
     # significant has no factor 10, so for shift < 0 the denominator is at
     # least 2^-shift, which has more than limit digits once -shift > 4 limit
     value = None

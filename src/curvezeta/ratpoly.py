@@ -15,6 +15,7 @@ float.  Everything is immutable and hashable; no floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NotDivisibleError
 
@@ -176,10 +177,42 @@ def _coerce(x) -> RationalPoly:
     raise TypeError(f"cannot treat {x!r} as a rational polynomial")
 
 
+def _primitive(coeffs) -> list:
+    """The primitive integer multiple of a rational coefficient list:
+    denominators cleared, then the content divided out; [] for zero."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    return [c // content for c in ints] if content > 1 else ints
+
+
 def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    """The monic gcd over Q, zero only for two zeros, by a primitive
+    remainder sequence over Z: each step takes a pseudo-remainder, which is
+    a rational multiple of the remainder over Q, and divides out its
+    content, so the coefficients stay integers of the size of the gcd's
+    and no Fraction is formed until the gcd is made monic."""
+    x, y = _primitive(a.coeffs), _primitive(b.coeffs)
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        lead, n = y[-1], len(y) - 1
+        while len(x) > n:
+            c = x.pop()
+            if c:
+                # lead/k * x - c/k * x^(len(x) - n) * y clears the top term
+                k = gcd(c, lead)
+                if lead != k:
+                    scale = lead // k
+                    x = [v * scale for v in x]
+                c //= k
+                base = len(x) - n
+                for j in range(n):
+                    x[base + j] -= c * y[j]
+        while x and not x[-1]:
+            x.pop()
+        x, y = y, _primitive(x)
+    return RationalPoly(x).monic()
 
 
 class BiPoly:
@@ -357,31 +390,35 @@ def bivariate_divmod(num: BiPoly, den: BiPoly) -> tuple[BiPoly, BiPoly]:
     num = quotient * den + remainder, and no term of the remainder is
     divisible by the leading term of den.  The remainder is zero exactly
     when den divides num.
+
+    One sweep over the terms of num in descending lex order: a step at the
+    term T^i u^j only changes terms below it, since the order respects
+    products, so each term is final when the sweep reaches it.  A step
+    moves terms at most deg_u den - lt_u columns right and at least one
+    row down, which fixes the width of the work grid in advance.
     """
     if den.is_zero():
         raise ZeroDivisionError("bivariate division by zero")
-    dterms = den.terms()
-    lt_den = max(dterms)
-    lc_den = dterms[lt_den]
-    work = num.terms()
-    quot: dict = {}
-    rem: dict = {}
-    while work:
-        lt = max(work)
-        if lt[0] >= lt_den[0] and lt[1] >= lt_den[1]:
-            shift = (lt[0] - lt_den[0], lt[1] - lt_den[1])
-            c = quotient(work[lt], lc_den)
-            quot[shift] = quot.get(shift, 0) + c
-            for (i, j), d in dterms.items():
-                key = (i + shift[0], j + shift[1])
-                val = work.get(key, 0) - c * d
-                if val:
-                    work[key] = val
-                else:
-                    work.pop(key, None)
-        else:
-            rem[lt] = work.pop(lt)
-    return BiPoly.from_terms(quot), BiPoly.from_terms(rem)
+    drows = den.rows
+    di = len(drows) - 1
+    dj = max(j for j, c in enumerate(drows[di]) if c)
+    lc = drows[di][dj]
+    rest = [(a, b, d) for a, row in enumerate(drows) for b, d in enumerate(row)
+            if d and (a, b) != (di, dj)]
+    height = len(num.rows)
+    width = len(num.rows[0]) if num.rows else 0
+    width += max(0, len(drows[0]) - 1 - dj) * max(0, height - di)
+    work = [list(row) + [0] * (width - len(row)) for row in num.rows]
+    quot = [[0] * width for _ in range(height - di)]
+    for i in range(height - 1, di - 1, -1):
+        row = work[i]
+        for j in range(width - 1, dj - 1, -1):
+            if row[j]:
+                c = quot[i - di][j - dj] = quotient(row[j], lc)
+                row[j] = 0
+                for a, b, d in rest:
+                    work[i - di + a][j - dj + b] -= c * d
+    return BiPoly(quot), BiPoly(work)
 
 
 def bivariate_exact_divide(num: BiPoly, den: BiPoly) -> BiPoly:

@@ -12,6 +12,7 @@ import json
 import time
 from collections import namedtuple
 from fractions import Fraction
+from math import inf
 
 from . import curve as curvemod
 from . import irreducibility as irrmod
@@ -196,17 +197,77 @@ def run_table_pipeline(table: MeasureTableData, *,
                      start, with_timing)
 
 
-def _fraction_text(value):
-    """json.dumps's hook for the values it cannot encode: a Fraction
-    prints as its string, and any other type is refused."""
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(f"{type(value).__name__} has no canonical JSON form")
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it, before quoting: a str as it is,
+    and an int, float, bool or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        out: list = []
+        _write(key, "", out)
+        return out[0]
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the canonical text of value to out; newline is the line
+    break and indentation of the value's own line."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append("NaN" if value != value else "Infinity" if value == inf
+                   else "-Infinity" if value == -inf
+                   else float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + _quote(_key_text(key)) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, Fraction):
+        out.append(_quote(str(value)))
+    else:
+        raise TypeError(f"{type(value).__name__} has no canonical JSON form")
 
 
 def canonical_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2,
-                      default=_fraction_text) + "\n"
+    """The report as json.dumps(report, sort_keys=True, indent=2) writes it
+    plus a final newline, with every Fraction written as the string of its
+    value and any other type json cannot encode refused (TypeError);
+    written directly, since json.dumps with an indent runs its pure-Python
+    encoder."""
+    out: list = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_text(report: dict, *, show_clauses: bool = False) -> str:

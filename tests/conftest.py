@@ -14,15 +14,32 @@ reads the counts past degree 2g from L(T).  gao_box_count takes the rank
 of Gao's system on the full degree box with the library's exact Bareiss
 elimination, as the reference for irreducibility.absolute_factor_count,
 which keeps only the unknowns inside the Newton polygon of P.
+
+The exact rational kernels keep their earlier forms here as references:
+euclid_gcd (Euclid over Q with Fractions) for ratpoly.poly_gcd,
+fraction_square_test (the square root matched over Q) for
+irreducibility._square_in_closure, max_loop_divmod (the largest remaining
+term found by max() at every step) for ratpoly.bivariate_divmod, and
+json_dumps_report (json.dumps with sorted keys and an indent of 2) for
+report.canonical_json.
 """
 
+import importlib.util
+import json
 import random
+import sys
+from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
-from curvezeta import BiPoly, extension_field, parse_curve_spec, validate_model
+from curvezeta import (BiPoly, RationalPoly, extension_field, parse_curve_spec,
+                       validate_model)
 from curvezeta import fqpoly as fp
+from curvezeta.ratpoly import quotient
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def brute_affine_count(p, f, h):
@@ -336,3 +353,84 @@ def gao_box_count(P):
     keys = sorted({key for column in columns for key in column})
     rows = [[column.get(key, 0) for column in columns] for key in keys]
     return len(columns) - _bareiss_rank(rows)
+
+
+def euclid_gcd(a, b):
+    """The monic gcd of two RationalPolys by Euclid's algorithm over Q."""
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
+def fraction_square_test(disc):
+    """Is the nonzero RationalPoly disc a square over the algebraic closure?
+    Its monic part is then the square of a monic rational s, matched from
+    the top coefficient down over Q and confirmed exactly."""
+    if disc.degree % 2:
+        return False
+    target = disc.monic()
+    n = disc.degree // 2
+    s = [0] * n + [1]
+    for k in range(n - 1, -1, -1):
+        known = sum(s[i] * s[n + k - i] for i in range(k + 1, n))
+        s[k] = quotient(target.coeff(n + k) - known, 2)
+    return RationalPoly(s) ** 2 == target
+
+
+def max_loop_divmod(num, den):
+    """Division of BiPolys in lex order with T before u, by the largest
+    remaining term of a term dict, found with max() at every step."""
+    if den.is_zero():
+        raise ZeroDivisionError("bivariate division by zero")
+    dterms = den.terms()
+    lt_den = max(dterms)
+    lc_den = dterms[lt_den]
+    work = num.terms()
+    quot: dict = {}
+    rem: dict = {}
+    while work:
+        lt = max(work)
+        if lt[0] >= lt_den[0] and lt[1] >= lt_den[1]:
+            shift = (lt[0] - lt_den[0], lt[1] - lt_den[1])
+            c = quotient(work[lt], lc_den)
+            quot[shift] = quot.get(shift, 0) + c
+            for (i, j), d in dterms.items():
+                key = (i + shift[0], j + shift[1])
+                val = work.get(key, 0) - c * d
+                if val:
+                    work[key] = val
+                else:
+                    work.pop(key, None)
+        else:
+            rem[lt] = work.pop(lt)
+    return BiPoly.from_terms(quot), BiPoly.from_terms(rem)
+
+
+def _fraction_text(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} has no canonical JSON form")
+
+
+def json_dumps_report(report) -> str:
+    """A report's canonical text as json.dumps writes it: sorted keys, an
+    indent of 2, every Fraction as its string, and a final newline."""
+    return json.dumps(report, sort_keys=True, indent=2,
+                      default=_fraction_text) + "\n"
+
+
+def load_perfbench(name: str):
+    """perfbench/<name>.py, loaded by file path (its dataclasses need it
+    registered in sys.modules)."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_inputs(name: str, seed: int) -> list:
+    """The benchmark workload's (input id, spec, base change) triples for
+    one seed, drawn by perfbench/workloads.py."""
+    return load_perfbench("workloads").generate(name, seed, _nonsingular)

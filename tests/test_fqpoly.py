@@ -204,10 +204,16 @@ def test_quotient_ring_sqrt(monkeypatch):
             else:
                 assert root is None
     # a ring that is not a field: a true root or None, and always an answer
-    ring = fp.QuotientRing(f3, (0, 0, 1))  # x^2
-    for a in ring.elements():
-        root = ring.sqrt(a)
-        assert root is None or ring.mul(root, root) == a
+    for ring in (fp.QuotientRing(f3, (0, 0, 1)),  # x^2, odd order
+                 # even order: a^(order/2) squares back only in a field
+                 fp.QuotientRing(extension_field(2), (0, 0, 1)),
+                 fp.QuotientRing(extension_field(2, 2), (0, 0, 1)),
+                 fp.QuotientRing(extension_field(2), (0, 0, 0, 1)),
+                 fp.QuotientRing(extension_field(2), (0, 1, 1))):  # x^2+x
+        for a in ring.elements():
+            root = ring.sqrt(a)
+            assert root is None or ring.mul(root, root) == a
+    assert fp.QuotientRing(extension_field(2), (0, 0, 1)).sqrt((0, 1)) is None
     # one power per call in the order-27 field, for a square and a
     # non-square alike
     ring = fp.QuotientRing(f3, cubic)

@@ -18,7 +18,8 @@ from curvezeta import irreducibility
 from curvezeta.irreducibility import (_PRIME, NotSquarefreeError, _rank,
                                       _rank_mod_prime, _square_in_closure,
                                       certify_irreducible, newton_polygon)
-from conftest import FACTOR_POOL, gao_box_count, random_products
+from conftest import (FACTOR_POOL, fraction_square_test, gao_box_count,
+                      random_products)
 
 T, U = BiPoly.t(), BiPoly.u()
 
@@ -215,6 +216,29 @@ def test_square_in_closure_matches_squarefree_decomposition(scalar, picks):
     for factor, exponent in picks:
         poly = poly * factor ** exponent
     assert _square_in_closure(poly) == _square_by_sqf_list(poly), poly
+
+
+# ints and Fractions, small and of up to 30 digits
+WIDE = st.one_of(st.integers(-4, 4), st.integers(-10 ** 30, 10 ** 30),
+                 st.fractions(max_denominator=6),
+                 st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                           st.integers(1, 10 ** 30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(WIDE, min_size=1, max_size=4).map(RationalPoly),
+       st.lists(WIDE, max_size=5).map(RationalPoly), WIDE)
+@example(RationalPoly((1,)), RationalPoly(), 7)  # constants
+@example(RationalPoly((1, 2)), RationalPoly(), -1)  # a square, negated
+@example(RationalPoly((Fraction(1, 3), 1)), RationalPoly((0, 1)), 1)
+def test_square_in_closure_matches_fraction_reference(root, extra, scalar):
+    if scalar == 0:
+        return
+    square = root * root * scalar
+    for disc in (square, square + extra, root * scalar):
+        if disc:
+            assert (_square_in_closure(disc)
+                    == fraction_square_test(disc)), disc
 
 
 def test_reversal():

@@ -124,6 +124,9 @@ def test_measure_table_rational_values():
     ("1." + "0" * 5000, Fraction(1)),
     ("5e-4300", Fraction(1, 2 * 10 ** 4299)),  # 4300 digits: the limit
     ("0e999999999", Fraction(0)),
+    pytest.param("0" * 5000 + "1/0" + "0" * 4999 + "3", Fraction(1, 3),
+                 id="zero-padded-ratio"),
+    ("-4_2/7", Fraction(-6)),
 ])
 def test_measure_table_values_are_fractions_or_decimals(value, exact):
     # a decimal is read exactly, never through a float
@@ -154,11 +157,25 @@ def test_measure_table_values_are_fractions_or_decimals(value, exact):
     ("g=1; pic0=1e20000000", "decimal of 10 characters is too long"),
     (f"g=1; pic0=0.{LONG}", "decimal of 5002 characters is too long"),
     (f"g=1; pic0=1e{LONG}", "integer literal of 5000 digits"),
+    pytest.param(f"g=1; pic0=1/{LONG}",
+                 "line 1, column 1: denominator of 5000 digits is too long",
+                 id="long-denominator"),
+    pytest.param(f"g=1; pic0=2\n0 0 -{LONG}/3",
+                 "line 2, column 1: numerator of 5000 digits is too long",
+                 id="long-numerator"),
 ])
 def test_measure_table_rejections(text, fragment):
     with pytest.raises(ParseError) as info:
         parse_measure_table(text)
     assert fragment in str(info.value)
+
+
+def test_an_over_long_rational_is_named_without_echoing_it():
+    # 4301 digits: one past the 4300 that int() converts by default
+    with pytest.raises(ParseError) as info:
+        parse_measure_table("g=1; pic0=1/" + "1" * 4301)
+    assert str(info.value) == ("line 1, column 1: denominator of 4301 digits "
+                               "is too long: more than 4300 digits")
 
 
 def test_measure_table_error_names_offending_line():

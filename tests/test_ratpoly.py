@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import euclid_gcd, max_loop_divmod
 from curvezeta import BiPoly, RationalPoly
 from curvezeta.errors import NotDivisibleError
 from curvezeta.ratpoly import (bivariate_divmod, bivariate_exact_divide,
@@ -48,6 +49,30 @@ def test_poly_gcd_divides_both(a, b):
     assert g.coeffs[-1] == 1  # monic
     assert (a % g).is_zero()
     assert (b % g).is_zero()
+
+
+# ints and Fractions, small and of up to 40 digits
+wide = st.one_of(
+    scalars, st.integers(-10 ** 40, 10 ** 40),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 40)))
+
+
+def wide_rpolys(max_deg=4):
+    return st.lists(wide, max_size=max_deg + 1).map(RationalPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_rpolys(), wide_rpolys(), wide_rpolys(2))
+@example(RationalPoly(), RationalPoly(), RationalPoly())  # zero
+@example(RationalPoly((3,)), RationalPoly(), RationalPoly())  # constants
+@example(RationalPoly((Fraction(-2, 3),)), RationalPoly((5,)), RationalPoly())
+@example(RationalPoly((1, 1)), RationalPoly((1, -1)), RationalPoly((1, 2, 1)))
+def test_poly_gcd_matches_euclid_over_q(a, b, common):
+    assert poly_gcd(a, b) == euclid_gcd(a, b)
+    # with a shared factor, which the gcd must carry
+    assert poly_gcd(a * common, b * common) == euclid_gcd(a * common,
+                                                          b * common)
 
 
 def test_gcd_of_constructed_common_factor():
@@ -101,6 +126,30 @@ def test_bivariate_divmod_invariant(num, den):
         return
     q, r = bivariate_divmod(num, den)
     assert q * den + r == num
+
+
+def wide_bipolys():
+    return st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), wide,
+        max_size=6).map(BiPoly.from_terms)
+
+
+T_, U_ = BiPoly.t(), BiPoly.u()
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_bipolys(), wide_bipolys(), wide_bipolys())
+@example(BiPoly(), T_ - U_ ** 3, BiPoly())  # zero
+@example(BiPoly.const(7), BiPoly.const(Fraction(2, 3)), BiPoly())  # constants
+@example(T_ ** 3, T_ - U_ ** 3, BiPoly.const(1))  # columns grow per step
+@example(U_ ** 2 + T_, U_ - 1, T_ * U_ - 2)  # the numerator's divisor
+@example(T_ * U_ ** 2, T_ ** 2 * U_ + 3 * T_ * U_ ** 3, U_)
+def test_bivariate_divmod_matches_max_loop(num, den, quot):
+    if den.is_zero():
+        return
+    for dividend in (num, quot * den, quot * den + num):
+        assert bivariate_divmod(dividend, den) == max_loop_divmod(dividend,
+                                                                  den)
 
 
 def test_bivariate_exact_division():

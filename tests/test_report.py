@@ -5,7 +5,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import json_dumps_report, workload_inputs
 from curvezeta import (all_clauses, canonical_json, parse_curve_spec,
                        parse_measure_table, render_text, run_curve_pipeline,
                        run_table_pipeline)
@@ -130,10 +132,58 @@ def test_rational_table_prints_every_coefficient_as_a_string():
                                                 ["0", "1"]]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["odd-prime", "char2-high-genus",
+                                      "extension-field"])
+def test_canonical_json_is_json_dumps_on_workload_reports(workload, seed):
+    for _, text, base_change in workload_inputs(workload, seed):
+        report = run(text, base_change=base_change).report
+        assert canonical_json(report) == json_dumps_report(report), text
+
+
+ATOMS = st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.integers(-10 ** 30, 10 ** 30), st.floats(), st.text(),
+                  st.fractions())
+KEYS = [st.text(), st.integers(), st.floats(),
+        st.sampled_from([True, False, None])]
+VALUES = st.recursive(ATOMS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    *(st.dictionaries(key, inner, max_size=4) for key in KEYS)),
+    max_leaves=20)
+
+
+def _outcome(write, value):
+    try:
+        return write(value)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES)
+@example({"": [], "a": {}, "b": ()})  # empty containers
+@example(["\u00e9\u2028\ud800", "\x00\x1f\"\\", "\U0001f600"])
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, True, None])
+@example({1: "int", 2.5: "float", 3: ()})
+@example({True: 1, None: 2})  # keys json.dumps cannot sort: a TypeError
+@example([Fraction(-7, 3), Fraction(4), {"x": Fraction(1, 10 ** 20)}])
+def test_canonical_json_is_json_dumps_on_nested_values(value):
+    assert _outcome(canonical_json, value) == _outcome(json_dumps_report,
+                                                       value)
+
+
 def test_canonical_json_refuses_a_type_without_a_canonical_form():
     # only Fractions are turned into strings; anything else fails loudly
     with pytest.raises(TypeError):
         canonical_json({"x": object()})
+
+
+@pytest.mark.parametrize("value", [
+    [1 + 2j], {"x": {1, 2}}, [b"bytes"], {(1, 2): 0}, {Fraction(1, 2): 0}])
+def test_canonical_json_refuses_what_json_dumps_refuses(value):
+    assert _outcome(json_dumps_report, value)[0] is TypeError
+    assert _outcome(canonical_json, value) == _outcome(json_dumps_report,
+                                                       value)
 
 
 def test_table_pipeline_has_no_divisor_checks():

@@ -10,7 +10,6 @@ in a subprocess, as ``perfbench/run.py --trace 1`` does.
 """
 
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -19,23 +18,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import PERFBENCH, load_perfbench
+
 ROOT = Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
-
-
-def _load(name: str):
-    """perfbench/<name>.py, loaded by file path (its dataclasses need it
-    registered in sys.modules)."""
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def wrapped_names() -> tuple:
-    return _load("tracing").WRAPPED
+    return load_perfbench("tracing").WRAPPED
 
 
 def test_every_wrapped_name_resolves():
@@ -52,7 +41,7 @@ def test_every_wrapped_name_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
+@pytest.mark.parametrize("name", sorted(load_perfbench("workloads").WORKLOADS))
 def test_every_wrapped_name_is_called_by_its_workloads(monkeypatch, name):
     # run.py imports its siblings by bare name
     monkeypatch.syspath_prepend(str(PERFBENCH))
