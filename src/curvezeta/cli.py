@@ -50,9 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--base-change", type=_positive, default=1,
                         metavar="M", help="replace F_q by F_{q^M}")
-    common.add_argument("--series-order", type=_nonnegative, default=None,
-                        metavar="N",
-                        help="depth of the divisor-count checks (default 2g+2)")
     common.add_argument("--format", choices=("text", "machine"),
                         default="text", help="report format")
     common.add_argument("--out", metavar="PATH",
@@ -121,8 +118,8 @@ def _run_single(args) -> PipelineResult:
             raise ParseError(
                 f"--genus {args.genus} contradicts the computed genus {genus}")
     return run_curve_pipeline(
-        spec, base_change=args.base_change, series_order=args.series_order,
-        capacity=args.max_work, with_timing=not args.no_timing)
+        spec, base_change=args.base_change, capacity=args.max_work,
+        with_timing=not args.no_timing)
 
 
 def _cmd_analyze(args) -> int:
@@ -164,8 +161,7 @@ def _cmd_batch(args) -> int:
             spec = parse_curve_spec(stripped, line=lineno,
                                     capacity=args.max_work)
             result = run_curve_pipeline(
-                spec, base_change=args.base_change,
-                series_order=args.series_order, capacity=args.max_work,
+                spec, base_change=args.base_change, capacity=args.max_work,
                 with_timing=not args.no_timing)
         except (*_INPUT_ERRORS, *_CONSISTENCY_ERRORS, CapacityError) as exc:
             n_error += 1

@@ -290,11 +290,11 @@ def _factor_count_closed_form(fac: BiPoly) -> int:
         return total_degrees.pop()
     if d_t == 1 or d_u == 1:
         return 1
-    if d_u == 2:
-        a, b, c = (fac.coeff_of_u(j) for j in (2, 1, 0))
-        return 2 if _square_in_closure(b * b - a * c * 4) else 1
-    if d_t == 2:
-        a, b, c = (fac.coeff_of_t(i) for i in (2, 1, 0))
+    if 2 in (d_u, d_t):
+        # quadratic in u (else in T): two factors when the discriminant
+        # is a square
+        coeff = fac.coeff_of_u if d_u == 2 else fac.coeff_of_t
+        a, b, c = (coeff(j) for j in (2, 1, 0))
         return 2 if _square_in_closure(b * b - a * c * 4) else 1
     raise OracleUnsupportedError(
         f"no closed form for a factor of bidegree ({d_t}, {d_u})")

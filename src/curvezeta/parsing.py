@@ -29,6 +29,14 @@ _DECIMAL = re.compile(r"([-+]?)(?=\.?\d)(\d+(?:_\d+)*)?(?:\.(\d+(?:_\d+)*)?)?"
 _RATIO = re.compile(r"([-+]?)(\d+(?:_\d+)*)\s*/\s*(\d+(?:_\d+)*)")
 
 
+def _echo(text: str) -> str:
+    """text quoted as repr() writes it, for an error message; a text whose
+    quoted form is longer than 40 characters is named by its length, so that
+    the message stays short whatever the input."""
+    quoted = repr(text)
+    return quoted if len(quoted) <= 40 else f"<{len(text)} characters>"
+
+
 def _literal(digits: str, line: int, col: int) -> int:
     """The int of a run of decimal digits; one longer than the
     interpreter converts (sys.get_int_max_str_digits) is a ParseError."""
@@ -62,7 +70,7 @@ def parse_poly_text(text: str, var: str = "x", *, line: int = 1,
             name = m.group(2)
             if name != var:
                 raise ParseError(
-                    f"unknown symbol {name!r}, expected variable {var!r}",
+                    f"unknown symbol {_echo(name)}, expected variable {var!r}",
                     line, m.start(2) + 1)
             tokens.append(("var", name, m.start(2) + 1))
         else:
@@ -158,7 +166,8 @@ def parse_curve_spec(text: str, *, line: int = 1,
             col += len(chunk) + 1
             continue
         if "=" not in stripped:
-            raise ParseError(f"expected key=value, got {stripped!r}", line, col)
+            raise ParseError(f"expected key=value, got {_echo(stripped)}",
+                             line, col)
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
@@ -172,7 +181,7 @@ def parse_curve_spec(text: str, *, line: int = 1,
             seen[key] = tuple(parse_poly_text(value, "x", line=line,
                                               capacity=capacity))
         else:
-            raise ParseError(f"unknown key {key!r}", line, col)
+            raise ParseError(f"unknown key {_echo(key)}", line, col)
         col += len(chunk) + 1
     if "p" not in seen:
         raise ParseError("curve spec is missing p", line, 1)
@@ -200,12 +209,12 @@ def _parse_fraction(text: str, line: int, col: int) -> Fraction:
                 raise ParseError(f"{part} of {len(digits)} digits is too "
                                  f"long: more than {limit} digits", line, col)
         if not den:
-            raise ParseError(f"{text!r} is not a rational a/b or a decimal: "
-                             "its denominator is zero", line, col)
+            raise ParseError(f"{_echo(text)} is not a rational a/b or a "
+                             "decimal: its denominator is zero", line, col)
         return Fraction(int(sign + (num or "0")), int(den))
     m = _DECIMAL.fullmatch(text)
     if m is None:
-        raise ParseError(f"{text!r} is not a rational a/b or a decimal",
+        raise ParseError(f"{_echo(text)} is not a rational a/b or a decimal",
                          line, col)
     sign, whole, frac, exp = (g.replace("_", "") if g else ""
                               for g in m.groups())
@@ -267,7 +276,8 @@ def parse_measure_table(text: str) -> MeasureTableData:
                 elif key == "pic0":
                     pic0 = _parse_fraction(value, lineno, 1)
                 else:
-                    raise ParseError(f"unknown header key {key!r}", lineno, 1)
+                    raise ParseError(f"unknown header key {_echo(key)}",
+                                     lineno, 1)
             if genus is None or pic0 is None:
                 raise ParseError("header must set both g and pic0", lineno, 1)
             continue

@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .errors import CapacityError, InconsistentCountsError
+from .errors import InconsistentCountsError
 
 
 class LPolynomial(namedtuple("LPolynomial", "coeffs q genus")):
@@ -107,7 +107,7 @@ def zeta_series(lpoly: LPolynomial, order: int) -> list[int]:
     divisor counts, read off the expansion of L / ((1-T)(1-qT)):
     s_n = c_n + (1+q) s_(n-1) - q s_(n-2)."""
     if order < 0:
-        raise ValueError("series order must be nonnegative")
+        raise ValueError("order must be nonnegative")
     c, q = lpoly.coeffs, lpoly.q
     out = []
     for n in range(order + 1):
@@ -123,39 +123,17 @@ def zeta_series(lpoly: LPolynomial, order: int) -> list[int]:
     return out
 
 
-def euler_product_updates(order: int) -> int:
-    """The coefficient updates of effective_divisor_count to the given
-    order, bounded from the order alone: the (d, base, j) terms of its
-    loop, sum over 1 <= d <= order and 0 <= base <= order of
-    (order - base) // d + 1.  The loop skips those of zero coefficients."""
-    m = order + 1
-    return sum(m + d * (m // d) * (m // d - 1) // 2 + (m // d) * (m % d)
-               for d in range(1, m))
-
-
-def check_series_order(order: int, capacity: int) -> None:
-    """Refuse an order whose Euler expansion needs more updates than the
-    work bound.  The count depends on the order alone; its j = 0 terms,
-    order * (order + 1) of them, refuse a large order before the sum."""
-    least = order * (order + 1)
-    work = euler_product_updates(order) if least <= capacity else None
-    if work is None or work > capacity:
-        count = f"at least {least}" if work is None else work
-        raise CapacityError(
-            f"series order {order} needs {count} Euler-product coefficient "
-            f"updates, above the work bound {capacity}")
-
-
 def effective_divisor_count(place_table, upto: int) -> list[int]:
     """s_0 .. s_upto, as zeta_series gives them, recomputed from the place
     table alone: the Euler product over places, expanded once to degree
     upto, counts the multisets of places of each total degree n.
 
-    Independent of the L-polynomial route on purpose for n <= 2g, where
-    every N_d is a sieved tally; the two are compared in the verification
-    layer.  Past 2g the table's N_d are read from L (see
-    curve.enumerate_places), so there the two routes agree by
-    construction.
+    Not independent of the L-polynomial route: for n <= 2g every N_d is a
+    sieved tally, but curve.enumerate_places refuses a table unless
+    sum over d | m of d N_d = a_m at every degree m, and the a_m are those
+    of L; past 2g the N_d are read from L outright.  So the two routes
+    agree by construction at every degree; the verification layer still
+    compares them.
     """
     if upto < 0:
         raise ValueError("divisor degree must be nonnegative")

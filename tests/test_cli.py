@@ -76,13 +76,12 @@ def test_verify_machine(capsys):
     assert doc["checks"]["total"] > 10
 
 
-def test_verify_series_order(capsys):
-    assert main(["verify", "--spec", "p=3; f=x^3+x",
-                 "--series-order", "7", "--format", "machine"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    # degrees 0..7 two ways, six structure, one specialization, four
-    # irreducibility clauses
-    assert doc["checks"]["total"] == 27
+def test_the_retired_series_order_flag_exits_2(capsys):
+    # the divisor checks always run to degree 2g+2
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--spec", "p=3; f=x^3+x", "--series-order", "7"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --series-order 7" in capsys.readouterr().err
 
 
 def test_measure_table_analyze(capsys):
@@ -152,37 +151,6 @@ def test_capacity_exit_3(capsys):
     assert main(["verify", "--spec", "p=3; k=12; f=x^3+x",
                  "--max-work", "1000"]) == 3
     assert "work bound" in capsys.readouterr().err
-
-
-def test_series_order_past_the_work_bound_exits_3_before_any_place(
-        monkeypatch, capsys):
-    import curvezeta.curve as curvemod
-    import curvezeta.zetaone as zetaone
-    spent = []
-
-    def spy(name):
-        def refuse(*args, **kwargs):
-            spent.append(name)
-            raise AssertionError(f"{name} ran past the work bound")
-        return refuse
-
-    for module, name in ((curvemod, "enumerate_places"),
-                         (zetaone, "effective_divisor_count"),
-                         (zetaone, "zeta_series")):
-        monkeypatch.setattr(module, name, spy(name))
-    # 1600 * 1601 updates of the j = 0 terms alone refuse order 1600 ...
-    assert main(["verify", "--spec", "p=3; f=x^3+x", "--series-order", "1600",
-                 "--max-work", "1000"]) == 3
-    assert ("series order 1600 needs at least 2561600 Euler-product "
-            "coefficient updates, above the work bound 1000"
-            in capsys.readouterr().err)
-    # ... and order 800 is refused at the default bound on the full count
-    assert main(["verify", "--spec", "p=3; f=x^3+x",
-                 "--series-order", "800"]) == 3
-    assert ("series order 800 needs 2674966 Euler-product coefficient "
-            "updates, above the work bound 1000000"
-            in capsys.readouterr().err)
-    assert spent == []
 
 
 def test_oversize_inputs_exit_3_under_the_work_bound(tmp_path, capsys):

@@ -181,6 +181,21 @@ def test_quadratic_discriminant_classification():
     assert absolute_factor_count(U ** 2 - T ** 2 * (T + 1) ** 2) == 2
 
 
+@pytest.mark.parametrize("fac,count", [
+    # quadratic in u, of T-degree 4: the discriminant 8 (T^2 + 1)^2 is a
+    # square over the closure, 4 (T^4 + 1) is not
+    (U ** 2 - 2 * (T ** 2 + 1) ** 2, 2),
+    (U ** 2 - T ** 4 - 1, 1),
+    # quadratic in T, of u-degree 6 and 4
+    (T ** 2 - 2 * (U ** 3 + 1) ** 2, 2),
+    (T ** 2 - U ** 4 - 1, 1),
+])
+def test_closed_form_reads_a_quadratic_in_either_variable(fac, count):
+    # each is irreducible over Q, so the closed form is the whole count
+    assert irreducibility._factor_count_closed_form(fac) == count
+    assert absolute_factor_count(fac) == count
+
+
 X = RationalPoly.x()
 
 # irreducible over Q and pairwise coprime

@@ -184,6 +184,31 @@ def test_measure_table_error_names_offending_line():
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("parse,document,unit,message", [
+    pytest.param(parse_curve_spec, "p=3; f=x^3+{}", "ab",
+                 "unknown symbol {}, expected variable 'x'",
+                 id="unknown-symbol"),
+    pytest.param(parse_curve_spec, "p=3; f=x; {}", "ab",
+                 "expected key=value, got {}", id="not-key-value"),
+    pytest.param(parse_curve_spec, "p=3; {}=1; f=x", "ab",
+                 "unknown key {}", id="unknown-key"),
+    pytest.param(parse_measure_table, "g=1; pic0=1; {}=1", "ab",
+                 "unknown header key {}", id="unknown-header-key"),
+    pytest.param(parse_measure_table, "g=1; pic0={}", "1x",
+                 "{} is not a rational a/b or a decimal",
+                 id="malformed-value"),
+])
+@pytest.mark.parametrize("repeat", [2, 2500])
+def test_parse_errors_quote_short_input_and_name_long_input(
+        parse, document, unit, message, repeat):
+    word = unit * repeat
+    with pytest.raises(ParseError) as info:
+        parse(document.format(word))
+    echo = repr(word) if repeat == 2 else "<5000 characters>"
+    assert message.format(echo) in str(info.value)
+    assert len(str(info.value)) < 100
+
+
 def test_format_fq_poly():
     assert format_fq_poly((0, 1, 0, 1)) == "x^3+x"
     assert format_fq_poly((1, 2)) == "2*x+1"

@@ -62,11 +62,16 @@ def test_base_change_adds_consistency_clause():
 
 
 def test_series_order_controls_divisor_checks():
-    result = run("p=3; f=x^3+x", series_order=6)
-    names = [c["name"] for c in all_clauses(result.report)]
-    assert "effective divisor count, degree 6" in names
-    assert "divisor count route agreement, degree 6" in names
-    assert result.report["input"]["series_order"] == 6
+    # the divisor checks run to degree 2g+2, and no further
+    for spec, genus in (("p=3; f=x^3+x", 1), ("p=3; f=x^5+1", 2)):
+        result = run(spec)
+        names = [c["name"] for c in all_clauses(result.report)]
+        order = 2 * genus + 2
+        for n, present in ((order, True), (order + 1, False)):
+            assert (f"effective divisor count, degree {n}" in names) is present
+            assert (f"divisor count route agreement, degree {n}"
+                    in names) is present
+        assert result.report["input"]["series_order"] == order
 
 
 def test_max_work_bounds_every_field_the_run_asks_for(monkeypatch):
@@ -244,8 +249,8 @@ def test_base_change_counts_the_base_model_up_to_the_genus(monkeypatch):
 def test_one_l_and_one_euler_product_per_report(monkeypatch, base_change,
                                                l_builds):
     # L(T) comes from the place table, and the Euler product is expanded
-    # once to the series order; with a base change the base model's L and
-    # the lifted L are built once each on top
+    # once, to degree 2g+2; with a base change the base model's L and the
+    # lifted L are built once each on top
     from curvezeta import zetaone
     calls = {"lpolynomial_from_counts": 0, "effective_divisor_count": 0}
 
@@ -259,9 +264,8 @@ def test_one_l_and_one_euler_product_per_report(monkeypatch, base_change,
 
     for name in calls:
         monkeypatch.setattr(zetaone, name, counted(name))
-    result = run("p=3; f=x^3+x", base_change=base_change, series_order=200,
-                 with_timing=False)
+    result = run("p=3; f=x^3+x", base_change=base_change, with_timing=False)
     assert result.passed
-    assert len(all_clauses(result.report)) == 413 + (base_change > 1)
+    assert len(all_clauses(result.report)) == 21 + (base_change > 1)
     assert calls == {"lpolynomial_from_counts": l_builds,
                      "effective_divisor_count": 1}

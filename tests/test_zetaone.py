@@ -8,8 +8,7 @@ from curvezeta import (RationalPoly, LPolynomial, class_number, count_points,
                        lpolynomial_from_counts, parse_curve_spec,
                        point_counts_from_lpolynomial, validate_model,
                        zeta_series)
-from curvezeta import zetaone
-from curvezeta.errors import CapacityError, InconsistentCountsError
+from curvezeta.errors import InconsistentCountsError
 from conftest import brute_point_count
 
 
@@ -120,42 +119,6 @@ def test_effective_divisor_count_depth_guard(worked_elliptic):
         effective_divisor_count(table, 3)
     with pytest.raises(ValueError):
         effective_divisor_count(table, -1)
-
-
-@pytest.mark.parametrize("order", [0, 1, 2, 7, 12, 30])
-def test_euler_product_updates_bound_the_expansion(monkeypatch,
-                                                   worked_elliptic, order):
-    # the count is the (d, base, j) terms of the loop, from the order alone
-    assert zetaone.euler_product_updates(order) == sum(
-        (order - base) // d + 1
-        for d in range(1, order + 1) for base in range(order + 1))
-    # each update takes one binomial; zero coefficients are skipped
-    binomials = []
-    real = zetaone.comb
-
-    def counted(n, k):
-        binomials.append((n, k))
-        return real(n, k)
-
-    monkeypatch.setattr(zetaone, "comb", counted)
-    table = enumerate_places(worked_elliptic, max(order, 1))
-    effective_divisor_count(table, order)
-    assert len(binomials) <= zetaone.euler_product_updates(order)
-
-
-def test_check_series_order_names_the_count_and_the_bound():
-    work = zetaone.euler_product_updates(200)
-    assert work < 10 ** 6  # order 200 passes at the default bound
-    zetaone.check_series_order(200, work)
-    with pytest.raises(CapacityError,
-                       match=f"series order 200 needs {work} Euler-product "
-                             f"coefficient updates, above the work bound "
-                             f"{work - 1}$"):
-        zetaone.check_series_order(200, work - 1)
-    # order * (order + 1) > bound refuses before the count is summed
-    with pytest.raises(CapacityError, match="order 10000000000 needs at "
-                                            "least 100000000010000000000 "):
-        zetaone.check_series_order(10 ** 10, 10 ** 6)
 
 
 def as_poly(lpoly):
